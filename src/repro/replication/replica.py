@@ -9,6 +9,14 @@ them, and incrementally maintains a *warm image* — fully replayed instance
 trees, ready to dispatch — so promotion is an epoch adoption plus a resend,
 not a cold replay.
 
+The role adds no second mechanism: it hooks the base service's own paths.
+Shipping runs in the ``_post_barrier`` hook after every durability barrier;
+the ``_acknowledge`` hook that ends every synchronous mutating operation
+ships the journal and refuses the acknowledgement once demoted; the warm
+image is the service's crash-recovery ``_replay``, applied incrementally
+after every batch; and promotion resumes instances through the same
+``_resume_all`` as crash recovery.
+
 Safety invariants, in the order they are enforced:
 
 * **Demote-before-ack.**  The primary does not treat a durability barrier as
@@ -27,8 +35,10 @@ Safety invariants, in the order they are enforced:
 Promotion replays nothing in the common case: the standby adopts the grant's
 epoch, resolves in-doubt two-phase participants against the replicated
 coordinator decision log (``txn/recovery.py``), re-arms deadlines with their
-journaled *remaining* time, and resumes surviving flights through the
-recovery stagger — the same code path as single-node crash recovery.
+journaled *remaining* time, and resumes surviving flights — as redispatches,
+with their location pins abandoned — through the recovery stagger.  A
+replica re-promoted after a demotion first rebuilds its image cold from its
+local durable journal, then resumes exactly the same way.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ from __future__ import annotations
 import enum
 from typing import Any, Dict, List, Optional, Sequence, Set
 
-from ..engine.events import WorkflowStatus
 from ..orb.broker import CommFailure, Fenced, Interface, ObjectBroker, ObjectNotFound
 from ..sim.crashpoints import SimulatedCrash, crash_point
 from ..txn.ids import ObjectId, TransactionId
@@ -44,7 +53,7 @@ from ..txn.manager import TransactionManager
 from ..txn.recovery import resolve_in_doubt
 from ..txn.store import ObjectStore
 from ..txn.wal import LogRecord
-from ..services.execution import EXECUTION_INTERFACE, ExecutionService, _compile_cached
+from ..services.execution import EXECUTION_INTERFACE, ExecutionService
 
 REPLICA_INTERFACE = Interface(
     "WorkflowExecutionReplica",
@@ -114,10 +123,9 @@ class ReplicatedExecutionService(ExecutionService):
         # not one per barrier.
         self._ship_paused: Set[str] = set()
         self._shipping = False
-        # Standby-side: how many journal entries per instance the warm image
-        # has applied, and whether the image matches the local durable store
-        # (False after a demotion, when the image ran ahead of replication).
-        self._image_applied: Dict[str, int] = {}
+        # Standby-side: whether the warm image matches the local durable
+        # store (False after a demotion, when the image ran ahead of
+        # replication).
         self._image_valid = False
         self._tick_armed = False
         self.repl_stats = {
@@ -146,18 +154,18 @@ class ReplicatedExecutionService(ExecutionService):
         self.stats["recoveries"] += 1
         crash_point("exec.recover.pre", self)
         self.role = Role.STANDBY
-        self.health.reset()
-        self._pending_acks.clear()
-        self._sweep_armed = False
-        self._jbuf.clear()
-        self._jflush_armed = False
-        self._standby_acked = {}
-        self._ship_paused = set()
-        self._tick_armed = False
+        self._reset_volatile()
+        self._sweep_armed = self._jflush_armed = self._tick_armed = False
         self._rebuild_image()
         crash_point("exec.recover.replayed", self)
         self._try_acquire()
         self._arm_tick()
+
+    def _reset_volatile(self) -> None:
+        super()._reset_volatile()
+        # a new reign (or incarnation) starts every peer from a full resync
+        self._standby_acked = {}
+        self._ship_paused = set()
 
     def is_primary(self) -> bool:
         return self.role is Role.PRIMARY
@@ -217,23 +225,11 @@ class ReplicatedExecutionService(ExecutionService):
         self.epoch = grant["epoch"]
         self.isr = list(grant.get("isr", ()))
         self._max_epoch_seen = max(self._max_epoch_seen, self.epoch)
-        self._standby_acked = {}
-        self._ship_paused = set()
-        self._pending_acks.clear()
-        self.health.reset()
-        self._jbuf.clear()
+        self._reset_volatile()
         if not self._image_valid:
             # the image ran ahead of the durable store (we were demoted while
-            # primary): rebuild from the local durable journal, like crash
-            # recovery — the _replay path also re-pins surviving flights
+            # primary): rebuild it from the local durable journal
             self._rebuild_image()
-        else:
-            # warm image: flights rebuilt by the standby's incremental replay
-            # are virgin; mark them as redispatches like crash recovery does
-            # (the original target may be what took the old primary down)
-            for runtime in self.runtimes.values():
-                for flight in runtime.in_flight.values():
-                    flight.redispatches += 1
         # In-doubt two-phase participants prepared under the old primary are
         # decided by the replicated coordinator decision log (presumed abort).
         resolve_in_doubt(self.store, self._coordinator_decision)
@@ -244,20 +240,9 @@ class ReplicatedExecutionService(ExecutionService):
         # Persist the adopted epoch as the local tail so a crash right after
         # promotion recovers into the same epoch lineage.
         self._persist_tail(self.store.wal.last_durable_lsn, self.epoch)
-        # Admission state never crosses a failover: the old primary's queue
-        # died with it, so every adopted non-terminal instance counts as
-        # admitted and the controller starts this reign unpressured.
-        self.admission.rebuild(
-            [
-                iid
-                for iid, runtime in self.runtimes.items()
-                if runtime.tree.status is WorkflowStatus.RUNNING
-            ],
-            self._now(),
-        )
-        for runtime in list(self.runtimes.values()):
-            self._resume_flights(runtime)
-            self._arm_deadlines(runtime)
+        # the same resume as crash recovery: flights the standby's replay
+        # built are unanswered, and admission state never crosses a failover
+        self._resume_all()
         self._arm_sweeper()
         # Take over the public name: clients re-resolve to the new primary.
         self.broker.register(
@@ -397,73 +382,49 @@ class ReplicatedExecutionService(ExecutionService):
             self._shipping = False
 
     def _ship_to(self, peer: str) -> None:
-        acked = self._standby_acked.get(peer)
-        reset = acked is None
-        from_lsn = 0 if reset else acked
-        records = [
-            rec for rec in self.store.wal.durable_records() if rec.lsn > from_lsn
-        ]
-        # A checkpoint-truncated gap needs no resync: the retained log starts
-        # with the CHECKPOINT record whose snapshot supersedes the gap.
-        if not records and not reset:
-            return
-        batch = {
-            "epoch": self.epoch,
-            "writer": self.name,
-            "reset": reset,
-            "from_lsn": from_lsn,
-            "last_lsn": records[-1].lsn if records else from_lsn,
-            "records": [_wire(rec) for rec in records],
-        }
-        self.repl_stats["pushes"] += 1
-        try:
-            reply = self._invoke(peer, "replicate", batch)
-        except CommFailure:
-            self.repl_stats["push_failures"] += 1
-            self._demote_peer(peer)
-            return
-        if reply.get("fenced"):
-            self._demote_self(f"push fenced by {peer}", reply.get("epoch", 0))
-            return
-        if reply.get("ok"):
-            self._standby_acked[peer] = reply["have"]
-            self._maybe_enlist(peer)
-            return
-        # Cursor disagreement (e.g. the standby under-reported its tail after
-        # a crash between force and tail-persist): adopt its position — or a
-        # full resync when its tail is from another epoch — and retry once.
-        if reply.get("resync"):
-            self._standby_acked.pop(peer, None)
-        else:
-            self._standby_acked[peer] = reply.get("have", 0)
-        acked = self._standby_acked.get(peer)
-        reset = acked is None
-        from_lsn = 0 if reset else acked
-        records = [
-            rec for rec in self.store.wal.durable_records() if rec.lsn > from_lsn
-        ]
-        batch = {
-            "epoch": self.epoch,
-            "writer": self.name,
-            "reset": reset,
-            "from_lsn": from_lsn,
-            "last_lsn": records[-1].lsn if records else from_lsn,
-            "records": [_wire(rec) for rec in records],
-        }
-        self.repl_stats["pushes"] += 1
-        try:
-            reply = self._invoke(peer, "replicate", batch)
-        except CommFailure:
-            self.repl_stats["push_failures"] += 1
-            self._demote_peer(peer)
-            return
-        if reply.get("ok"):
-            self._standby_acked[peer] = reply["have"]
-            self._maybe_enlist(peer)
-        elif reply.get("fenced"):
-            self._demote_self(f"push fenced by {peer}", reply.get("epoch", 0))
-        else:
-            self._demote_peer(peer)  # still disagreeing: give up until tick
+        for retry in (False, True):
+            acked = self._standby_acked.get(peer)
+            from_lsn = 0 if acked is None else acked
+            records = [
+                rec for rec in self.store.wal.durable_records() if rec.lsn > from_lsn
+            ]
+            # A checkpoint-truncated gap needs no resync: the retained log
+            # starts with the CHECKPOINT record whose snapshot supersedes it.
+            if not records and acked is not None and not retry:
+                return
+            batch = {
+                "epoch": self.epoch,
+                "writer": self.name,
+                "reset": acked is None,
+                "from_lsn": from_lsn,
+                "last_lsn": records[-1].lsn if records else from_lsn,
+                "records": [_wire(rec) for rec in records],
+            }
+            self.repl_stats["pushes"] += 1
+            try:
+                reply = self._invoke(peer, "replicate", batch)
+            except CommFailure:
+                self.repl_stats["push_failures"] += 1
+                self._demote_peer(peer)
+                return
+            if reply.get("fenced"):
+                self._demote_self(f"push fenced by {peer}", reply.get("epoch", 0))
+                return
+            if reply.get("ok"):
+                self._standby_acked[peer] = reply["have"]
+                self._maybe_enlist(peer)
+                return
+            if retry:
+                self._demote_peer(peer)  # still disagreeing: give up until tick
+                return
+            # Cursor disagreement (e.g. the standby under-reported its tail
+            # after a crash between force and tail-persist): adopt its
+            # position — or a full resync when its tail is from another
+            # epoch — and retry once.
+            if reply.get("resync"):
+                self._standby_acked.pop(peer, None)
+            else:
+                self._standby_acked[peer] = reply.get("have", 0)
 
     # -- replication stream (standby side) ----------------------------------------
 
@@ -517,7 +478,7 @@ class ReplicatedExecutionService(ExecutionService):
         # Tail *after* the records: a crash in between under-reports, and the
         # duplicate re-ship replays identically (same txns, same values).
         self._persist_tail(batch["last_lsn"], epoch)
-        self._refresh_image()
+        self._catch_up_all()
         self._image_valid = True
         self.repl_stats["tail_applies"] += 1
         return {"ok": True, "have": batch["last_lsn"]}
@@ -528,49 +489,20 @@ class ReplicatedExecutionService(ExecutionService):
         self.store.wal.reset()
         self.store.crash()  # rebuild cache/locks from the (now empty) log
         self.runtimes = {}
-        self._image_applied = {}
 
     # -- warm image ---------------------------------------------------------------
 
-    def _refresh_image(self) -> None:
-        """Bring the ready-to-promote image up to the local durable journal.
-
-        Incremental: each instance remembers how many journal entries the
-        image has applied and replays only the new ones, through the same
-        ``_replay_entry`` used by crash recovery — so the image is, at every
-        barrier, exactly the tree a recovery replay would build.  Standbys
-        never dispatch: flights accumulate in ``in_flight`` unsent until
-        promotion resumes them."""
-        for iid in self.store.get_committed("instance-index", []):
-            meta = self.store.get_committed(f"instance:{iid}:meta")
-            if meta is None:
-                continue
-            runtime = self.runtimes.get(iid)
-            applied = self._image_applied.get(iid, 0)
-            if runtime is None:
-                script = _compile_cached(meta["script_text"])
-                runtime = self._fresh_runtime(iid, script, meta)
-                self.runtimes[iid] = runtime
-                applied = 0
-            total = meta["journal_len"]
-            if total > applied:
-                entries = self.store.get_committed_many(
-                    f"instance:{iid}:journal:{n}" for n in range(applied, total)
-                )
-                for entry in entries:
-                    if entry is None:
-                        break
-                    self._replay_entry(runtime, entry)
-                    applied += 1
-            self._image_applied[iid] = applied
-
     def _rebuild_image(self) -> None:
-        """Cold rebuild of the warm image from local durable state."""
+        """Cold rebuild of the warm image from local durable state.  After
+        every applied batch the image is caught up incrementally through the
+        service's own ``_replay`` (:meth:`replicate`), so at every barrier it
+        is exactly the tree a recovery replay would build.  Standbys never
+        dispatch: flights accumulate in ``in_flight`` unsent until promotion
+        resumes them."""
         self.runtimes = {}
-        self._image_applied = {}
         tail = self._tail()
         self._max_epoch_seen = max(self._max_epoch_seen, tail["epoch"])
-        self._refresh_image()
+        self._catch_up_all()
         self._image_valid = True
 
     # -- settlement ----------------------------------------------------------------
@@ -588,44 +520,16 @@ class ReplicatedExecutionService(ExecutionService):
             if peer in self.isr
         )
 
-    # -- client-facing overrides ----------------------------------------------------
-
-    def _ensure_group_ack(self) -> None:
-        """Raised-on-demotion barrier for synchronous mutating operations: if
-        serving this call demoted us (lease unreachable, fenced push), the
-        client must not take the reply as acknowledged."""
+    def _acknowledge(self) -> None:
+        """Ship the journal (even an ``instantiate`` that dispatched nothing
+        must replicate its meta), then refuse the acknowledgement if serving
+        the call demoted us (lease unreachable, fenced push)."""
+        self.flush_journal()
         if self.role is not Role.PRIMARY:
             raise Fenced(
                 f"{self.name}: demoted while serving "
                 f"(epoch {self.epoch} superseded)"
             )
-
-    def instantiate(self, *args: Any, **kwargs: Any) -> str:
-        iid = super().instantiate(*args, **kwargs)
-        self.flush_journal()  # ship the meta even when nothing dispatched yet
-        self._ensure_group_ack()
-        return iid
-
-    def reconfigure(self, *args: Any, **kwargs: Any) -> bool:
-        ok = super().reconfigure(*args, **kwargs)
-        self._ensure_group_ack()
-        return ok
-
-    def force_abort(self, *args: Any, **kwargs: Any) -> bool:
-        ok = super().force_abort(*args, **kwargs)
-        self._ensure_group_ack()
-        return ok
-
-    def complete_task(self, *args: Any, **kwargs: Any) -> bool:
-        ok = super().complete_task(*args, **kwargs)
-        self._ensure_group_ack()
-        return ok
-
-    def import_instance(self, snapshot: Dict[str, Any]) -> str:
-        iid = super().import_instance(snapshot)
-        self.flush_journal()
-        self._ensure_group_ack()
-        return iid
 
     # -- introspection ---------------------------------------------------------------
 

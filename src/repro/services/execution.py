@@ -12,7 +12,13 @@ Coordinates workflow instances with the paper's system-level guarantees:
 * **Crash recovery.**  After a node crash, :meth:`on_recover` replays each
   instance's journal over a fresh tree; because scheduling is deterministic,
   the rebuilt tree reaches exactly the pre-crash state, and still-unfinished
-  tasks are re-dispatched.
+  tasks are re-dispatched.  The same incremental :meth:`_replay` serves
+  instance import, the replay-agreement oracle and a replication standby's
+  warm image, and one resume path (:meth:`_resume_all`) serves both crash
+  recovery and standby promotion.
+* **Acknowledgement.**  Every synchronous mutating operation ends in the
+  :meth:`_acknowledge` hook: a no-op standalone, the replication barrier
+  and demotion check on a replica (:mod:`repro.replication`).
 * **At-least-once dispatch, exactly-once application.**  Tasks are dispatched
   to worker nodes through deferred ORB invocations (which ride the lossy
   network); a periodic sweeper re-dispatches anything unanswered; duplicate
@@ -125,6 +131,9 @@ class _Runtime:
     # anywhere: _arm_deadlines can skip its whole-tree walk (recomputed on
     # reconfiguration, which may introduce deadlines)
     has_deadlines: bool = True
+    # how many durable journal entries replay has applied to this runtime:
+    # the cursor an incremental _replay resumes from
+    replayed: int = 0
 
 
 def _script_has_deadlines(script: Script) -> bool:
@@ -259,34 +268,22 @@ class ExecutionService(Service):
         crash_point("exec.recover.pre", self)
         self.epoch = self._advance_epoch()
         self.runtimes = {}
-        self.health.reset()
-        self._pending_acks.clear()
-        self._sweep_armed = False  # the old sweep chain died with the crash
-        # buffered journal entries died with the crash, exactly like the
-        # volatile tree state they described; the durable journal is truth
-        self._jbuf.clear()
-        self._jflush_armed = False
+        self._reset_volatile()
+        # the sweep chain and the journal window timer died with the crash
+        self._sweep_armed = self._jflush_armed = False
         if self.durable:
-            for iid in self.store.get_committed("instance-index", []):
-                runtime = self._replay(iid)
-                if runtime is not None:
-                    self.runtimes[iid] = runtime
-                    self._resume_flights(runtime)
-                    self._arm_deadlines(runtime)
-        # Admission state is volatile: the queue died with the process, so
-        # every rebuilt non-terminal instance counts as admitted (its journal
-        # is durable work the service must finish — _resume_flights already
-        # re-sent it, staggered) and the controller restarts unpressured.
-        self.admission.rebuild(
-            [
-                iid
-                for iid, runtime in self.runtimes.items()
-                if runtime.tree.status is WorkflowStatus.RUNNING
-            ],
-            self._now(),
-        )
+            self._catch_up_all()
+        self._resume_all()
         crash_point("exec.recover.replayed", self)
         self._arm_sweeper()
+
+    def _reset_volatile(self) -> None:
+        """Drop coordinator state that survives neither a crash nor a change
+        of role: worker health is relearned, and buffered journal entries go
+        like the tree state they described — the durable journal is truth."""
+        self.health.reset()
+        self._pending_acks.clear()
+        self._jbuf.clear()
 
     def _advance_epoch(self) -> int:
         """Durably advance the fencing epoch for this incarnation.
@@ -319,6 +316,12 @@ class ExecutionService(Service):
     def _post_barrier(self) -> None:
         """Hook run after every durability barrier; replication ships the
         newly durable log suffix here.  No-op standalone."""
+
+    def _acknowledge(self) -> None:
+        """Hook ending every synchronous mutating operation, before the
+        client may take the reply as acknowledged.  No-op standalone;
+        replication makes the journal durable on every in-sync standby and
+        refuses the acknowledgement if serving the call demoted it."""
 
     @contextmanager
     def _journal_guard(self) -> Iterator[None]:
@@ -392,7 +395,7 @@ class ExecutionService(Service):
 
             self.manager.run(body)
         crash_point("exec.instantiate.persisted", self)
-        runtime = self._fresh_runtime(iid, script, meta)
+        runtime = self._fresh_runtime(iid, meta)
         self.runtimes[iid] = runtime
         if verdict == "shed":
             self._shed(runtime, criticality, f"pressure {self.admission.pressure}")
@@ -403,6 +406,7 @@ class ExecutionService(Service):
         else:
             self.admission.on_start(iid, now)
             self._dispatch_pending(runtime)
+        self._acknowledge()
         return iid
 
     def status(self, iid: str) -> Dict[str, Any]:
@@ -463,6 +467,7 @@ class ExecutionService(Service):
             self._journal(runtime, {"type": "reconfig", "script_text": new_script_text})
             self._dispatch_pending(runtime)
             self.flush_journal()  # client observes the reconfiguration as durable
+        self._acknowledge()
         return True
 
     def force_abort(self, iid: str, task_path: str, abort_name: Optional[str] = None) -> bool:
@@ -474,6 +479,7 @@ class ExecutionService(Service):
             )
             self._dispatch_pending(runtime)
             self.flush_journal()  # client observes the abort as durable
+        self._acknowledge()
         return True
 
     def external_tasks(self, iid: str) -> List[str]:
@@ -537,9 +543,7 @@ class ExecutionService(Service):
         if self.durable:
             self.flush_journal()  # export the full history, not a prefix
             meta = self.store.get_committed(f"instance:{iid}:meta")
-            journal = self.store.get_committed_many(
-                f"instance:{iid}:journal:{n}" for n in range(meta["journal_len"])
-            )
+            journal = self._journal_entries(iid, 0, meta["journal_len"])
         else:
             meta = None
             journal = list(runtime.volatile_journal)
@@ -570,15 +574,16 @@ class ExecutionService(Service):
             self.manager.run(body)
             runtime = self._replay(iid)
         else:
-            runtime = self._replay_from(iid, meta, journal)
+            runtime = self._fresh_runtime(iid, meta)
+            self._apply_journal(runtime, journal)
             runtime.volatile_journal = journal
         self.runtimes[iid] = runtime
         if runtime.tree.status is WorkflowStatus.RUNNING:
             # adopted work is already paid for: it bypasses the admission
             # queue and takes a window slot directly
             self.admission.on_start(iid, self._now())
-        self._resume_flights(runtime)
-        self._arm_deadlines(runtime)
+        self._resume(runtime)
+        self._acknowledge()
         return iid
 
     def compact(self) -> int:
@@ -631,11 +636,13 @@ class ExecutionService(Service):
             self._apply_entry(runtime, entry)
             self._dispatch_pending(runtime)
             self.flush_journal()  # client observes the completion as durable
+        self._acknowledge()
         return True
 
     # -- dispatching -------------------------------------------------------------------------
 
-    def _fresh_runtime(self, iid: str, script: Script, meta: Dict[str, Any]) -> _Runtime:
+    def _fresh_runtime(self, iid: str, meta: Dict[str, Any]) -> _Runtime:
+        script = _compile_cached(meta["script_text"])
         tree = InstanceTree(script, meta["root_task"], now=self._now)
         runtime = _Runtime(iid, script, tree)
         runtime.has_deadlines = _script_has_deadlines(script)
@@ -1417,65 +1424,87 @@ class ExecutionService(Service):
 
     # -- recovery -----------------------------------------------------------------------------------
 
-    def _replay(self, iid: str) -> Optional[_Runtime]:
+    def _journal_entries(self, iid: str, start: int, stop: int) -> List[Any]:
+        """Durable journal entries ``start:stop``; a hole reads as None."""
+        return self.store.get_committed_many(
+            f"instance:{iid}:journal:{n}" for n in range(start, stop)
+        )
+
+    def _replay(self, iid: str, runtime: Optional[_Runtime] = None) -> Optional[_Runtime]:
+        """Rebuild an instance from its durable journal onto a fresh runtime
+        or, given one an earlier replay built, apply only the entries it has
+        not applied yet (a standby's warm image).  Leaves the service itself
+        untouched — callers adopt the runtime.  None without durable meta."""
         meta = self.store.get_committed(f"instance:{iid}:meta")
         if meta is None:
             return None
-        journal = self.store.get_committed_many(
-            f"instance:{iid}:journal:{n}" for n in range(meta["journal_len"])
-        )
-        return self._replay_from(iid, meta, journal)
+        if runtime is None:
+            runtime = self._fresh_runtime(iid, meta)
+        if meta["journal_len"] > runtime.replayed:  # a standby's idle instances
+            self._apply_journal(
+                runtime, self._journal_entries(iid, runtime.replayed, meta["journal_len"])
+            )
+        return runtime
 
-    def _replay_from(
-        self, iid: str, meta: Dict[str, Any], journal: List[Optional[Dict[str, Any]]]
-    ) -> _Runtime:
-        script = _compile_cached(meta["script_text"])
-        tree = InstanceTree(script, meta["root_task"], now=self._now)
-        runtime = _Runtime(iid, script, tree)
-        runtime.has_deadlines = _script_has_deadlines(script)
-        tree.start(meta["input_set"], meta["inputs"])
-        self._drain(runtime)
+    def _apply_journal(self, runtime: _Runtime, journal: List[Any]) -> None:
+        """Apply journal entries to a replaying runtime, up to the first hole."""
         for entry in journal:
             if entry is None:
                 break
-            self._replay_entry(runtime, entry)
-        # anything still in flight was unanswered at crash time: it will be
-        # re-dispatched (staggered, see _resume_flights) with the pin already
-        # abandoned — the original target may be what crashed
+            runtime.journal_keys.add(self._entry_key(entry))
+            key = (entry.get("path"), entry.get("exec"))
+            if entry["type"] in ("result", "failure"):
+                runtime.in_flight.pop(key, None)
+                runtime.external.discard(key)
+            elif entry["type"] == "external":
+                runtime.in_flight.pop(key, None)
+                runtime.external.add(key)
+            self._apply_entry(runtime, entry)
+            self._drain(runtime)
+            runtime.replayed += 1
+
+    def _catch_up_all(self) -> None:
+        """Bring every durable instance's runtime up to its durable journal,
+        replaying from scratch the instances that have none yet."""
+        for iid in self.store.get_committed("instance-index", []):
+            runtime = self._replay(iid, self.runtimes.get(iid))
+            if runtime is not None:
+                self.runtimes[iid] = runtime
+
+    def _resume_all(self) -> None:
+        """Take over every replayed instance, after a crash recovery or a
+        standby promotion.
+
+        Admission state is volatile: the queue died with the process (or
+        with the old primary), so every non-terminal instance counts as
+        admitted — its journal is durable work the service must finish —
+        and the controller restarts unpressured."""
+        self.admission.rebuild(
+            [
+                iid
+                for iid, runtime in self.runtimes.items()
+                if runtime.tree.status is WorkflowStatus.RUNNING
+            ],
+            self._now(),
+        )
+        for runtime in list(self.runtimes.values()):
+            self._resume(runtime)
+
+    def _resume(self, runtime: _Runtime) -> None:
+        """Resume a replayed instance: re-send its surviving flights and
+        re-arm its deadlines with their journaled remaining time.
+
+        A flight that survived the replay was unanswered when the journal
+        stopped, so it counts as a redispatch and loses its location pin:
+        the original target may be what crashed.  With resilience enabled
+        each resend gets a deterministic jittered offset inside
+        ``policy.recovery_stagger``, so the herd does not hit the fleet in
+        one burst.  The jitter key includes the durable fencing epoch, which
+        (unlike ``stats["recoveries"]``, restarting at the same value on a
+        freshly promoted standby) differs across restarts and failovers.
+        """
         for flight in runtime.in_flight.values():
             flight.redispatches += 1
-        return runtime
-
-    def _replay_entry(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        """Apply one journal entry to a replaying runtime.  Shared by crash
-        recovery (`_replay_from`) and the replication standby's incremental
-        warm image, which applies entries as they arrive instead of all at
-        once."""
-        runtime.journal_keys.add(self._entry_key(entry))
-        if entry["type"] in ("result", "failure"):
-            runtime.in_flight.pop((entry["path"], entry["exec"]), None)
-            runtime.external.discard((entry["path"], entry["exec"]))
-        elif entry["type"] == "external":
-            runtime.in_flight.pop((entry["path"], entry["exec"]), None)
-            runtime.external.add((entry["path"], entry["exec"]))
-        self._apply_entry(runtime, entry)
-        self._drain(runtime)
-
-    def _resume_flights(self, runtime: _Runtime) -> None:
-        """Re-send every flight that survived a recovery replay.
-
-        The naive version re-sent the whole herd in one burst (each flight
-        was marked a full ``dispatch_timeout`` overdue, so they also all
-        *re*-dispatched on the same later sweep tick).  With resilience
-        enabled, each flight instead gets a deterministic jittered offset
-        inside ``policy.recovery_stagger``, spreading the post-recovery load
-        over the window; the jitter key includes the durable fencing epoch so
-        successive recoveries stagger differently.  (The in-memory
-        ``stats["recoveries"]`` counter is wrong for this: it restarts at the
-        same value on a freshly promoted standby, which would make
-        post-failover resends stagger identically to the dead primary's first
-        recovery — the epoch survives both restart and failover.)
-        """
         cfg = self.resilience
         epoch = self.epoch
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
@@ -1510,6 +1539,7 @@ class ExecutionService(Service):
                     self._send(runtime, key, flight)
 
             self.node.call_after(delay, fire, label=f"stagger:{key[0]}")
+        self._arm_deadlines(runtime)
 
     # -- helpers --------------------------------------------------------------------------------------
 

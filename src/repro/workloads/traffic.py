@@ -22,7 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from ..core.builder import ScriptBuilder, from_input, from_output
 from ..core.schema import Script
@@ -258,6 +258,7 @@ def run_traffic(
     base = clock.now
     # submission tracking: iid -> (arrival, submitted_at)
     live: Dict[str, Tuple[Arrival, float]] = {}
+    pending: Set[int] = set()  # arrivals still inside call_with_backoff
     done: Dict[str, Tuple[Arrival, float, float, str]] = {}  # + finished_at, fate
     counters = {"refused": 0, "lost": 0}
     by_class: Dict[str, Dict[str, int]] = {
@@ -266,6 +267,8 @@ def run_traffic(
     }
 
     def submit(arrival: Arrival) -> None:
+        pending.add(arrival.number)
+
         def invoke() -> Optional[str]:
             try:
                 return proxy.instantiate(
@@ -280,12 +283,14 @@ def run_traffic(
                 return None  # an outage ate the submission: counted as lost
 
         def on_result(iid: Optional[str]) -> None:
+            pending.discard(arrival.number)
             if iid is None:
                 counters["lost"] += 1
             else:
                 live[iid] = (arrival, clock.now)
 
         def on_give_up(_exc: Exception) -> None:
+            pending.discard(arrival.number)
             counters["refused"] += 1
 
         call_with_backoff(
@@ -332,13 +337,14 @@ def run_traffic(
             else:
                 fate = "failed"
             done[iid] = (arrival, submitted_at, clock.now, fate)
-        if clock.now >= base + spec.duration and not live:
-            break  # horizon passed and everything admitted has settled
+        if clock.now >= base + spec.duration and not live and not pending:
+            break  # horizon passed and every arrival has settled
 
     sojourns: List[float] = []
     report = SLOReport(spec=dict(spec.__dict__))
     report.offered = len(arrivals)
-    report.refused = counters["refused"]
+    # a client still backing off at the horizon never got in: turned away
+    report.refused = counters["refused"] + len(pending)
     report.lost = counters["lost"]
     report.unfinished = len(live)
     report.admitted = len(live) + len(done)

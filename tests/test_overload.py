@@ -333,6 +333,31 @@ class TestTrafficGenerator:
             report.completed + report.shed + report.failed + report.unfinished
         )
 
+    def test_arrivals_backing_off_past_the_duration_get_a_fate(self):
+        """The drive must not stop while submissions are still inside the
+        client's cooperative backoff: with a one-slot queue most arrivals
+        of a burst are still retrying when the arrival duration ends."""
+        system = WorkflowSystem(
+            workers=1,
+            registry=traffic_registry(),
+            seed=0,
+            overload=OverloadConfig(
+                queue_capacity=1, initial_window=1, min_window=1
+            ),
+            worker_service_time=0.5,
+        )
+        spec = TrafficSpec(
+            arrival="burst", rate=2.0, duration=60.0, drain=300.0,
+            burst_period=30.0, burst_duty=0.5, seed=0,
+        )
+        report = run_traffic(system, spec)
+        fates = (
+            report.completed + report.shed + report.failed + report.unfinished
+            + report.refused + report.lost
+        )
+        assert fates == report.offered
+        assert report.refused > 0  # the one-slot queue really turned clients away
+
 
 class TestReconfigureUnderTraffic:
     def test_live_reconfiguration_while_generator_runs(self):

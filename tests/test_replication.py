@@ -4,15 +4,23 @@ fencing epochs, log shipping, and lease-fenced failover
 
 import pytest
 
+from repro.core import ScriptBuilder, from_input, from_output
+from repro.engine import pending
+from repro.lang import format_script
 from repro.net.clock import EventClock
 from repro.net.network import LatencyModel, Network
 from repro.net.node import Node
 from repro.orb.broker import CommFailure, Fenced
-from repro.replication import FailureDetector, LeaseService, Role
+from repro.replication import (
+    FailureDetector,
+    LeaseService,
+    ReplicatedExecutionService,
+    Role,
+)
 from repro.services import WorkflowSystem
 from repro.services.worker import TaskWorker, WorkRequest
 from repro.txn.store import ObjectStore
-from repro.workloads import paper_order, paper_trip
+from repro.workloads import paper_order, paper_service_impact, paper_trip
 
 
 def lease_fixture(duration=30.0):
@@ -309,3 +317,144 @@ class TestSettledGating:
         meta = service.store.get_committed(f"instance:{iid}:meta")
         assert meta["journal_len"] == before
         assert not service._jbuf  # the guard drained the batch buffer
+
+
+class TestColdRepromotion:
+    def test_repromoted_primary_resends_as_redispatches(self):
+        """A primary that self-demotes and then re-acquires the lease
+        rebuilds its image cold; its surviving flights must resume as
+        redispatches (pin abandoned, backoff advanced) exactly as after a
+        crash recovery or a warm promotion."""
+        system = WorkflowSystem(replicas=2, worker_service_time=50.0)
+        paper_order.default_registry(registry=system.registry)
+        system.deploy("order", paper_order.SCRIPT_TEXT)
+        iid = system.instantiate("order", paper_order.ROOT_TASK,
+                                 {"order": "o-1"})
+        system.clock.advance(6.0)
+        primary = system.execution_replicas[0]
+        assert primary.runtimes[iid].in_flight  # workers still busy
+        primary._demote_self("test: lease renewal lost")
+        assert primary._try_acquire()
+        redispatches = [
+            flight.redispatches
+            for flight in primary.runtimes[iid].in_flight.values()
+        ]
+        assert redispatches and min(redispatches) >= 1, redispatches
+
+
+def _image_view(runtime):
+    """What a standby's warm image must share with a cold replay.  Journal
+    keys of entries that may legally repeat carry the entry's id(); only
+    their type is comparable."""
+    keys = sorted(
+        repr(key[:1] if isinstance(key[-1], int) and len(key) == 2 else key)
+        for key in runtime.journal_keys
+    )
+    return {
+        "status": runtime.tree.status.value,
+        "outcome": runtime.tree.root.machine.outcome,
+        "in_flight": sorted(runtime.in_flight),
+        "journal_keys": keys,
+        "exec_counter": dict(runtime.exec_counter),
+        "deadline_expiries": dict(runtime.deadline_expiries),
+    }
+
+
+class TestWarmImage:
+    @pytest.mark.parametrize("workload, name, inputs", [
+        (paper_order, "order", {"order": "o-1"}),
+        (paper_trip, "trip", {"user": "u-1"}),
+        (paper_service_impact, "service-impact",
+         {"alarmsSource": "alarm-feed-1"}),
+    ])
+    def test_warm_image_equals_cold_replay(self, monkeypatch, workload,
+                                           name, inputs):
+        """After every batch a standby applies, its incrementally maintained
+        image equals a from-scratch replay of its own durable store — across
+        a failover and the old primary's resurrection as a standby."""
+        checked = {}
+        apply_batch = ReplicatedExecutionService.replicate
+
+        def replicate(service, batch):
+            reply = apply_batch(service, batch)
+            if reply.get("ok"):
+                index = service.store.get_committed("instance-index", [])
+                assert sorted(service.runtimes) == sorted(index)
+                for iid, runtime in service.runtimes.items():
+                    cold = service._replay(iid)
+                    assert _image_view(runtime) == _image_view(cold), iid
+                checked[service.name] = checked.get(service.name, 0) + 1
+            return reply
+
+        monkeypatch.setattr(ReplicatedExecutionService, "replicate", replicate)
+        system = replicated_system(replicas=2, workload=workload, name=name)
+        iids = [system.instantiate(name, workload.ROOT_TASK, dict(inputs))
+                for _ in range(2)]
+        system.clock.advance(6.0)
+        system.execution_node.crash()  # kill the primary mid-workload
+        for iid in iids:
+            assert system.run_until_terminal(iid, max_time=2_000.0)[
+                "status"] in ("completed", "aborted")
+        system.execution_node.recover()  # resurrect it: it resyncs as standby
+        system.clock.advance(120.0)
+        assert set(checked) == {r.name for r in system.execution_replicas}
+
+
+def _approval_script():
+    """One task that parks awaiting an external completion and can be
+    force-aborted while parked."""
+    b = ScriptBuilder()
+    b.object_class("Data")
+    (
+        b.taskclass("Approve")
+        .input_set("main", request="Data")
+        .outcome("approved", decision="Data")
+        .abort_outcome("withdrawn")
+    )
+    b.taskclass("Root").input_set("main", inp="Data").outcome(
+        "done", out="Data"
+    ).outcome("withdrawn")
+    c = b.compound("wf", "Root")
+    c.task("approve", "Approve").implementation(code="approve").input(
+        "main", "request", from_input("wf", "main", "inp")
+    ).up()
+    c.output("done").object(
+        "out", from_output("approve", "approved", "decision")
+    ).up()
+    c.output("withdrawn").notify(from_output("approve", "withdrawn")).up()
+    c.up()
+    return format_script(b.build())
+
+
+class TestDemotedPrimaryRefusesAcknowledgement:
+    OPERATIONS = {
+        "instantiate": lambda p, iid, text, snap: p.instantiate(
+            "approval", "wf", "main", {"inp": "r-2"}),
+        "reconfigure": lambda p, iid, text, snap: p.reconfigure(iid, text),
+        "force_abort": lambda p, iid, text, snap: p.force_abort(
+            iid, "wf/approve"),
+        "complete_task": lambda p, iid, text, snap: p.complete_task(
+            iid, "wf/approve", "approved", {"decision": "yes"}),
+        "import_instance": lambda p, iid, text, snap: p.import_instance(snap),
+    }
+
+    @pytest.mark.parametrize("operation", sorted(OPERATIONS))
+    def test_mutating_operation_fenced_after_demotion(self, operation):
+        """Serving the call finds the ISR standby unreachable and cannot
+        reach the lease service to shrink the ISR: the primary demotes
+        itself, and the call must not be acknowledged."""
+        system = replicated_system(replicas=2)
+        system.registry.register("approve", lambda ctx: pending("a human"))
+        text = _approval_script()
+        system.deploy("approval", text)
+        iid = system.instantiate("approval", "wf", {"inp": "r-1"})
+        system.clock.advance(20.0)
+        primary, standby = system.execution_replicas
+        assert primary.external_tasks(iid) == ["wf/approve"]
+        assert standby.name in primary.isr
+        snapshot = dict(primary.export_instance(iid), instance="wf-imported")
+        system.replica_nodes[1].crash()
+        system.lease_node.crash()
+        with pytest.raises(Fenced):
+            self.OPERATIONS[operation](primary, iid, text, snapshot)
+        assert primary.role is Role.STANDBY
