@@ -385,9 +385,7 @@ class ReplicatedExecutionService(ExecutionService):
         for retry in (False, True):
             acked = self._standby_acked.get(peer)
             from_lsn = 0 if acked is None else acked
-            records = [
-                rec for rec in self.store.wal.durable_records() if rec.lsn > from_lsn
-            ]
+            records = self.store.wal.durable_since(from_lsn)
             # A checkpoint-truncated gap needs no resync: the retained log
             # starts with the CHECKPOINT record whose snapshot supersedes it.
             if not records and acked is not None and not retry:

@@ -9,12 +9,11 @@ step.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict
 
-from .ids import ObjectId, TransactionId
+from .ids import TransactionId
 from .manager import TransactionManager
 from .store import ObjectStore
-from . import wal as wal_mod
 
 
 def resolve_in_doubt(store: ObjectStore, decide: Callable[[TransactionId], bool]) -> Dict[TransactionId, bool]:
@@ -23,14 +22,17 @@ def resolve_in_doubt(store: ObjectStore, decide: Callable[[TransactionId], bool]
     ``decide(tid)`` returns the coordinator's verdict (True = commit).  For
     each in-doubt transaction the outcome record is appended and, on commit,
     its logged after-images are installed.  Returns the decisions applied.
+
+    One fold of the log serves every transaction: :meth:`ObjectStore.in_doubt`
+    brings the store's replay state up to date, and that state already holds
+    each pending transaction's logged writes.
     """
     decisions: Dict[TransactionId, bool] = {}
-    for tid in list(store.in_doubt()):
+    for tid in store.in_doubt():
         committed = bool(decide(tid))
         decisions[tid] = committed
         if committed:
-            writes = _logged_writes(store, tid)
-            store.commit(tid, writes)
+            store.commit(tid, store.logged_writes(tid))
         else:
             store.abort(tid)
     return decisions
@@ -42,10 +44,3 @@ def recover_with_coordinator(store: ObjectStore, manager: TransactionManager) ->
     store.recover()
     return resolve_in_doubt(store, manager.decision)
 
-
-def _logged_writes(store: ObjectStore, tid: TransactionId) -> Dict[str, object]:
-    writes: Dict[str, object] = {}
-    for record in store.wal.durable_records():
-        if record.kind == wal_mod.UPDATE and record.txn == tid:
-            writes[record.obj.name] = record.value
-    return writes

@@ -5,6 +5,9 @@ committed states of persistent atomic objects plus the write-ahead log that
 makes updates recoverable.  The in-memory ``committed`` map is just a cache of
 what the durable log says; :meth:`crash` drops unforced log records and
 rebuilds the cache from the log — the store's entire crash semantics.
+:meth:`recover` keeps the replay's state between calls and folds in only the
+durable records it has not seen, so a standby applying a shipped batch pays
+for the batch, not for the history.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ class ObjectStore:
         self.name = name
         self.wal = WriteAheadLog(mirror_path, group_commit=group_commit, group_max=group_max)
         self.locks = LockManager()
-        self._committed: Dict[str, Any] = {}
+        self._replay = wal_mod.ReplayState()
+        self._committed: Dict[str, Any] = self._replay.committed
 
     # -- committed-state access -------------------------------------------------
 
@@ -109,18 +113,44 @@ class ObjectStore:
         start against a clean table instead of deadlocking on ghosts.
         """
         lost = self.wal.lose_unforced()
-        self._committed = wal_mod.replay(self.wal.durable_records())
+        self._replay_all()
         self.locks = LockManager()
         return lost
 
     def recover(self) -> None:
-        """Rebuild the committed cache from the durable log (idempotent)."""
-        self._committed = wal_mod.replay(self.wal.durable_records())
+        """Bring the committed cache up to the durable log (idempotent).
 
-    def in_doubt(self) -> Iterable[TransactionId]:
-        """Transactions prepared here whose outcome is unknown locally."""
-        return wal_mod.in_doubt(self.wal.durable_records())
+        Folds the durable records past the replay cursor into the cache.
+        Only a cursor the log no longer continues — the log was reset, or
+        checkpoint truncation dropped records the cursor has not seen —
+        replays the whole retained log instead.
+        """
+        wal = self.wal
+        state = self._replay
+        if state.generation != wal.generation or state.lsn < wal.first_retained_lsn - 1:
+            self._replay_all()
+        else:
+            wal_mod.replay(wal.durable_since(state.lsn), state)
+
+    def _replay_all(self) -> None:
+        self._replay = wal_mod.ReplayState(self.wal.generation)
+        self._committed = wal_mod.replay(self.wal.durable_records(), self._replay)
+
+    def in_doubt(self) -> List[TransactionId]:
+        """Transactions prepared here whose outcome is unknown locally (after
+        :meth:`recover`, which this calls)."""
+        self.recover()
+        return sorted(self._replay.prepared)
+
+    def logged_writes(self, txn: TransactionId) -> Dict[str, Any]:
+        """The after-images ``txn`` logged here that still await its outcome:
+        exactly what replay installs if a COMMIT for it is logged now.
+        Current as of the last :meth:`recover` / :meth:`in_doubt`."""
+        return {update.obj.name: update.value for update in self._replay.pending.get(txn, ())}
 
     def checkpoint(self) -> None:
-        """Compact the log around the current committed snapshot."""
-        self.wal.checkpoint(self.snapshot())
+        """Compact the log around the current committed snapshot.  In-doubt
+        transactions keep their logged records: the snapshot holds only
+        decided state, and their outcome may still be commit."""
+        in_doubt = self.in_doubt()  # recovers first: the snapshot is current
+        self.wal.checkpoint(self.snapshot(), keep=in_doubt)

@@ -99,6 +99,7 @@ class WriteAheadLog:
         self.group_commit = group_commit
         self.group_max = max(1, group_max)
         self._pending_syncs = 0  # forces mirrored but not yet fsynced
+        self.generation = 0  # bumped by reset(): LSNs restart at 1
 
     # -- append/force ------------------------------------------------------------
 
@@ -223,6 +224,7 @@ class WriteAheadLog:
         self._records = []
         self._forced_upto = 0
         self._next_lsn = 1
+        self.generation += 1
 
     def lose_unforced(self) -> int:
         """Simulate a crash: drop records appended since the last force.
@@ -239,6 +241,20 @@ class WriteAheadLog:
     def durable_records(self) -> Iterator[LogRecord]:
         """Iterate records that survived (i.e. were forced)."""
         return iter(self._records[: self._forced_upto])
+
+    def durable_since(self, lsn: int) -> List[LogRecord]:
+        """Durable records with an LSN above ``lsn``, in log order: what a
+        replay cursor or a replication cursor at ``lsn`` has not seen yet.
+        O(log n + result): retained LSNs increase, so the start is bisected."""
+        records = self._records
+        low, high = 0, self._forced_upto
+        while low < high:
+            mid = (low + high) // 2
+            if records[mid].lsn <= lsn:
+                low = mid + 1
+            else:
+                high = mid
+        return records[low:self._forced_upto]
 
     def all_records(self) -> Iterator[LogRecord]:
         return iter(self._records)
@@ -267,16 +283,19 @@ class WriteAheadLog:
 
     # -- compaction ---------------------------------------------------------------
 
-    def checkpoint(self, snapshot: Dict[str, Any]) -> None:
+    def checkpoint(self, snapshot: Dict[str, Any], keep: Iterable[TransactionId] = ()) -> None:
         """Write a checkpoint carrying a full committed snapshot, force it and
-        truncate everything before it.
+        truncate everything before it — except the records of the ``keep``
+        transactions (prepared, outcome still unknown), which the snapshot
+        cannot cover: they stay, in LSN order, ahead of the checkpoint.
 
         Crash-consistent at every step: before the force the CHECKPOINT
         record is volatile (recovery sees the pre-compaction log); after the
         force but before the truncation the durable log ends in a CHECKPOINT
-        whose replay supersedes everything before it (recovery sees the
-        post-compaction state); the truncation itself only discards records
-        the checkpoint already covers.  There is no half-compacted state.
+        whose replay supersedes everything before it but the kept
+        transactions (recovery sees the post-compaction state); the
+        truncation itself only discards records the checkpoint already
+        covers.  There is no half-compacted state.
         """
         crash_point("wal.checkpoint.pre", self)
         record = self.append(CHECKPOINT, value=snapshot)
@@ -284,46 +303,83 @@ class WriteAheadLog:
         self.sync()  # compaction is a durability barrier: drain the window
         crash_point("wal.checkpoint.forced", self)
         index = self._records.index(record)
-        self._records = self._records[index:]
+        keep = set(keep)
+        carried = [rec for rec in self._records[:index] if rec.txn in keep] if keep else []
+        self._records = carried + self._records[index:]
         self._forced_upto = len(self._records)
         crash_point("wal.checkpoint.post", self)
 
 
-def replay(records: Iterable[LogRecord]) -> Dict[str, Any]:
+class ReplayState:
+    """What a replay carries from one call to the next.
+
+    ``committed`` is the image folded so far, ``pending`` the update records
+    of transactions that began but have no COMMIT or ABORT yet, ``prepared``
+    the transactions among those that voted (an insertion-ordered set), and
+    ``lsn`` the LSN of the last record folded — the cursor the next fold
+    starts after.  ``generation`` names the log incarnation the cursor
+    belongs to (see :meth:`WriteAheadLog.reset`).
+    """
+
+    __slots__ = ("committed", "pending", "prepared", "lsn", "generation")
+
+    def __init__(self, generation: int = 0) -> None:
+        self.committed: Dict[str, Any] = {}
+        self.pending: Dict[TransactionId, List[LogRecord]] = {}
+        self.prepared: Dict[TransactionId, bool] = {}
+        self.lsn = 0
+        self.generation = generation
+
+
+def replay(records: Iterable[LogRecord], state: Optional[ReplayState] = None) -> Dict[str, Any]:
     """Rebuild the committed state from a durable record stream.
 
     Only updates of transactions whose COMMIT record is present take effect
     (redo-only, presumed abort for the rest) — the standard recovery rule the
     execution service's guarantees rest on.
+
+    With ``state``, the records are folded into it — they must be the
+    durable records following ``state.lsn`` — and its ``committed`` image is
+    returned; without, the stream is replayed from scratch.
     """
-    snapshot: Dict[str, Any] = {}
-    pending: Dict[TransactionId, List[LogRecord]] = {}
+    if state is None:
+        state = ReplayState()
+    snapshot = state.committed
+    pending = state.pending
+    prepared = state.prepared
+    lsn = state.lsn
     for record in records:
-        if record.kind == CHECKPOINT:
-            snapshot = dict(record.value or {})
-            pending.clear()
-        elif record.kind == BEGIN:
-            pending[record.txn] = []
-        elif record.kind == UPDATE:
+        kind = record.kind
+        if kind == UPDATE:
             pending.setdefault(record.txn, []).append(record)
-        elif record.kind == COMMIT:
-            for update in pending.pop(record.txn, []):
+        elif kind == BEGIN:
+            pending[record.txn] = []
+        elif kind == COMMIT:
+            for update in pending.pop(record.txn, ()):
                 snapshot[update.obj.name] = update.value
-        elif record.kind == ABORT:
+            prepared.pop(record.txn, None)
+        elif kind == ABORT:
             pending.pop(record.txn, None)
-        # PREPARE leaves the txn pending; outcome is resolved by the
-        # coordinator (see repro.txn.recovery).
+            prepared.pop(record.txn, None)
+        elif kind == PREPARE:
+            # the txn stays pending; its outcome is resolved by the
+            # coordinator (see repro.txn.recovery)
+            prepared[record.txn] = True
+        elif kind == CHECKPOINT:
+            # the snapshot supersedes every decided transaction; a prepared
+            # one still awaits its outcome (checkpoint() keeps its records)
+            snapshot.clear()
+            snapshot.update(record.value or {})
+            for txn in [txn for txn in pending if txn not in prepared]:
+                del pending[txn]
+        lsn = record.lsn
+    state.lsn = lsn
     return snapshot
 
 
 def in_doubt(records: Iterable[LogRecord]) -> List[TransactionId]:
-    """Transactions that PREPAREd but have no COMMIT/ABORT in the stream."""
-    prepared: Dict[TransactionId, bool] = {}
-    for record in records:
-        if record.kind == PREPARE:
-            prepared[record.txn] = True
-        elif record.kind in (COMMIT, ABORT) and record.txn in prepared:
-            del prepared[record.txn]
-        elif record.kind == CHECKPOINT:
-            prepared.clear()
-    return sorted(prepared)
+    """Transactions that PREPAREd but have no COMMIT/ABORT in the stream
+    (a checkpoint does not decide them)."""
+    state = ReplayState()
+    replay(records, state)
+    return sorted(state.prepared)

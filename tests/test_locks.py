@@ -115,3 +115,46 @@ class TestDeadlock:
         locks.release_all(T2)  # waiter gives up
         locks.release_all(T1)
         assert locks.try_acquire(T3, A, LockMode.EXCLUSIVE)
+
+
+class TestTableStaysBounded:
+    def test_queries_of_unknown_objects_leave_table_unchanged(self, locks):
+        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
+        before = len(locks)
+        for name in ("x", "y", "z"):
+            assert locks.holders(ObjectId(name)) == {}
+            assert locks.mode_of(T1, ObjectId(name)) is None
+        assert locks.held_by(T2) == set()
+        assert len(locks) == before == 1
+
+    def test_release_deletes_entries_without_holders_or_waiters(self, locks):
+        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
+        locks.try_acquire(T1, B, LockMode.SHARED)
+        locks.try_acquire(T2, B, LockMode.SHARED)
+        locks.release_all(T1)
+        assert len(locks) == 1  # b is still held by T2
+        locks.release_all(T2)
+        assert len(locks) == 0
+
+    def test_release_while_queued_removes_the_waiter(self, locks):
+        locks.try_acquire(T1, A, LockMode.EXCLUSIVE)
+        locks.acquire(T2, A, LockMode.EXCLUSIVE, wait=True)
+        assert locks.release_all(T2) == []
+        assert locks.release_all(T1) == []
+        assert len(locks) == 0
+
+    def test_grants_are_reported_in_object_order(self, locks):
+        C = ObjectId("c")
+        for obj in (C, A, B):
+            locks.try_acquire(T1, obj, LockMode.EXCLUSIVE)
+        locks.acquire(T2, C, LockMode.EXCLUSIVE, wait=True)
+        locks.acquire(T3, A, LockMode.SHARED, wait=True)
+        locks.acquire(T2, A, LockMode.SHARED, wait=True)
+        assert locks.release_all(T1) == [(T3, A), (T2, A), (T2, C)]
+
+    def test_transfer_lets_next_release_grant_the_parent(self, locks):
+        child, parent = T1, T2
+        locks.try_acquire(child, A, LockMode.EXCLUSIVE)
+        locks.acquire(parent, A, LockMode.EXCLUSIVE, wait=True)
+        locks.transfer_all(child, parent)  # parent now holds A, still queued
+        assert locks.release_all(T3) == [(parent, A)]

@@ -230,6 +230,27 @@ class TestTwoPhaseCommit:
         assert decisions[tid] is True
         assert s2b.read_committed("y") == 2
 
+    def test_two_in_doubt_participants_resolved_in_one_pass(self, tm):
+        """One in-doubt transaction the coordinator committed, one it
+        aborted: each gets its decision, and only the committed one's
+        logged after-images are installed."""
+        s = ObjectStore("participant")
+        decided = []
+        for value, commit in ((1, True), (2, False)):
+            tid = tm.begin().tid
+            s.log_updates(tid, {f"k{value}": value, "shared": value})
+            s.prepare(tid)
+            tm.record_decision(tid, committed=commit)
+            decided.append(tid)
+        s.crash()
+        assert s.in_doubt() == decided
+        decisions = recover_with_coordinator(s, tm)
+        assert decisions == {decided[0]: True, decided[1]: False}
+        assert s.snapshot() == {"k1": 1, "shared": 1}
+        assert s.in_doubt() == []
+        s.crash()  # the decisions are durable: replay agrees
+        assert s.snapshot() == {"k1": 1, "shared": 1}
+
     def test_in_doubt_without_decision_presumed_abort(self, store):
         lonely = TransactionManager("other", decision_store=ObjectStore("d"))
         s = ObjectStore("s")
