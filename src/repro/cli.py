@@ -415,20 +415,17 @@ def _demo_distributed(args, module, inputs, registry) -> int:
     from .resilience import ResilienceConfig
     from .services.system import WorkflowSystem
 
-    if args.no_resilience:
-        resilience = ResilienceConfig.disabled()
-    else:
-        resilience = ResilienceConfig.for_timeouts(
-            args.dispatch_timeout,
-            args.sweep_interval,
-            seed=args.seed,
-            hedging=args.hedge_delay != 0.0,
-            max_redispatches=args.max_redispatches,
-        )
-        if args.hedge_delay is not None and args.hedge_delay > 0.0:
-            import dataclasses
+    resilience = ResilienceConfig.for_timeouts(
+        args.dispatch_timeout,
+        args.sweep_interval,
+        seed=args.seed,
+        hedging=args.hedge_delay != 0.0,
+        max_redispatches=args.max_redispatches,
+    )
+    if args.hedge_delay is not None and args.hedge_delay > 0.0:
+        import dataclasses
 
-            resilience = dataclasses.replace(resilience, hedge_delay=args.hedge_delay)
+        resilience = dataclasses.replace(resilience, hedge_delay=args.hedge_delay)
     system = WorkflowSystem(
         workers=args.workers,
         loss_rate=args.loss_rate,
@@ -713,12 +710,6 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--sweep-interval", type=float, default=10.0, metavar="T",
         help="dispatcher sweep period for --distributed (default: 10)",
-    )
-    demo.add_argument(
-        "--no-resilience",
-        action="store_true",
-        help="use the legacy fixed-interval dispatcher (no backoff, "
-        "breakers, health routing or hedging)",
     )
     demo.add_argument(
         "--hedge-delay", type=float, default=None, metavar="T",

@@ -3,9 +3,8 @@
 The paper (§3) places fault tolerance at *two* levels: applications express
 alternatives/compensation in the script, while the execution environment
 guarantees that tasks eventually receive their inputs despite crashes and
-network failures.  This package is the system half grown up — the naive
-fixed-timeout/blind-rotation dispatch loop of the execution service replaced
-by a production-grade resilience layer:
+network failures.  This package is that system half: the execution service's
+one dispatch path, built from four mechanisms:
 
 * :mod:`repro.resilience.policy` — :class:`RetryPolicy`: exponential backoff
   with deterministic seeded jitter, per-flight next-attempt deadlines, a
@@ -20,8 +19,7 @@ by a production-grade resilience layer:
   decision (dispatch, redispatch, hedge, breaker transition, failover,
   abandonment, stagger) as a timestamped event, renderable next to the
   workflow trace.
-* :class:`ResilienceConfig` bundles the knobs; ``ResilienceConfig.disabled()``
-  reproduces the legacy fixed-interval dispatch behaviour exactly.
+* :class:`ResilienceConfig` bundles the knobs.
 
 Everything is deterministic under the simulation's seeds: jitter is derived
 by hashing ``(seed, flight key, attempt)``, never from a live RNG.

@@ -2,14 +2,10 @@
 
 One :class:`ResilienceConfig` travels from :class:`~repro.services.system.
 WorkflowSystem` into the execution service and parameterises all four
-mechanisms.  Two constructors cover the common cases:
-
-* :meth:`ResilienceConfig.for_timeouts` — the adaptive default, derived from
-  the service's ``dispatch_timeout`` / ``sweep_interval`` so existing call
-  sites keep their familiar time scale (first attempt awaited
-  ``~dispatch_timeout``, hedges after two sweep intervals);
-* :meth:`ResilienceConfig.disabled` — byte-for-byte legacy behaviour:
-  fixed-interval redispatch, blind crc32 rotation, no breakers, no hedging.
+mechanisms.  :meth:`ResilienceConfig.for_timeouts` derives the defaults from
+the system's ``dispatch_timeout`` / ``sweep_interval``, so call sites keep
+their familiar time scale (first attempt awaited ``~dispatch_timeout``,
+hedges after two sweep intervals).
 """
 
 from __future__ import annotations
@@ -25,7 +21,6 @@ from .policy import RetryPolicy
 class ResilienceConfig:
     """Everything the adaptive dispatch layer can be told."""
 
-    enabled: bool = True
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: BreakerConfig = field(default_factory=BreakerConfig)
     # virtual-time wait before a duplicate (hedged) dispatch; None = off.
@@ -60,9 +55,4 @@ class ResilienceConfig:
             half_open_probes=1,
         )
         hedge = 2.0 * sweep_interval if hedging else None
-        return cls(enabled=True, policy=policy, breaker=breaker, hedge_delay=hedge)
-
-    @classmethod
-    def disabled(cls) -> "ResilienceConfig":
-        """Legacy dispatch: fixed-interval redispatch, blind rotation."""
-        return cls(enabled=False, hedge_delay=None)
+        return cls(policy=policy, breaker=breaker, hedge_delay=hedge)

@@ -1,10 +1,9 @@
 """Worker health registry and health-aware routing.
 
-Replaces the execution service's blind rotation (``(crc32(key) +
-redispatches) % len(workers)``) with an informed choice: every dispatch,
-reply and timeout updates a per-worker :class:`WorkerHealth` record — EWMA
-reply latency, current in-flight count, consecutive-failure streak and a
-:class:`~repro.resilience.breaker.CircuitBreaker` — and
+The execution service chooses workers by health, not by blind rotation:
+every dispatch, reply and timeout updates a per-worker :class:`WorkerHealth`
+record — EWMA reply latency, current in-flight count, consecutive-failure
+streak and a :class:`~repro.resilience.breaker.CircuitBreaker` — and
 :meth:`HealthRegistry.route` picks the admissible worker with the lowest
 health score.  Scores and tie-breaks are fully deterministic, so simulated
 runs stay replayable.

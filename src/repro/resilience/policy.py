@@ -48,7 +48,7 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay: float = 120.0
     jitter: float = 0.15            # ± fraction applied to each delay
-    max_redispatches: Optional[int] = 40   # None = retry forever (legacy)
+    max_redispatches: Optional[int] = 40   # None = retry forever
     recovery_stagger: float = 5.0   # window for post-recovery spreading
     seed: int = 0
 

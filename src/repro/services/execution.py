@@ -29,9 +29,8 @@ Coordinates workflow instances with the paper's system-level guarantees:
   latency, in-flight counts, per-worker circuit breakers) instead of blind
   rotation; slow flights are optionally *hedged* — duplicated to a second
   worker, safe because the journal applies exactly one reply; a flight past
-  its redispatch cap is abandoned into an ordinary system failure.  Passing
-  ``ResilienceConfig.disabled()`` restores the legacy fixed-interval
-  dispatcher exactly.
+  its redispatch cap is abandoned into an ordinary system failure.  This is
+  the service's one dispatch path.
 * **Automatic retries** of tasks that fail for system-level reasons, with the
   retry budget from the task's ``retries`` implementation property (§3).
 
@@ -95,7 +94,6 @@ EXECUTION_INTERFACE = Interface(
 @dataclass
 class _InFlight:
     request: Dict[str, Any]
-    dispatched_at: float
     redispatches: int = 0
     sent: bool = False
     # resilience bookkeeping: when this flight becomes overdue (per-flight
@@ -180,10 +178,9 @@ class ExecutionService(Service):
         broker: ObjectBroker,
         repository_name: str,
         worker_names: List[str],
+        resilience: ResilienceConfig,
         durable: bool = True,
-        dispatch_timeout: float = 30.0,
         sweep_interval: float = 10.0,
-        resilience: Optional[ResilienceConfig] = None,
         journal_batch: bool = True,
         journal_window: float = 5.0,
         overload: Optional[OverloadConfig] = None,
@@ -203,7 +200,6 @@ class ExecutionService(Service):
         self.repository_name = repository_name
         self.worker_names = list(worker_names)
         self.durable = durable
-        self.dispatch_timeout = dispatch_timeout
         self.sweep_interval = sweep_interval
         self.journal_batch = journal_batch
         self.journal_window = journal_window
@@ -213,9 +209,7 @@ class ExecutionService(Service):
         # keyed object, so ids cannot be recycled under the cache
         self._plain_taskclasses: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
         self._plain_props: Dict[int, Tuple[Any, Dict[str, str]]] = {}
-        self.resilience = resilience or ResilienceConfig.for_timeouts(
-            dispatch_timeout, sweep_interval
-        )
+        self.resilience = resilience
         self.manager = TransactionManager(f"{name}-tm")
         self.runtimes: Dict[str, _Runtime] = {}
         # Fencing epoch: a durable incarnation counter stamped on every
@@ -694,9 +688,7 @@ class ExecutionService(Service):
                 repeats=node.machine.repeats,
                 reply_to=self.node.name if self.node else "",
             ).to_plain()
-            runtime.in_flight[(node.path, exec_index)] = _InFlight(
-                request, self._now()
-            )
+            runtime.in_flight[(node.path, exec_index)] = _InFlight(request)
 
     def _dispatch_pending(self, runtime: _Runtime) -> None:
         self._drain(runtime)
@@ -871,41 +863,42 @@ class ExecutionService(Service):
         flight.request["epoch"] = self.epoch
         now = self._now()
         cfg = self.resilience
-        if not cfg.enabled:
-            worker = self._route_legacy(runtime, key, flight)
-            flight.dispatched_at = now
-            flight.sent = True
-            flight.next_attempt_at = now + self.dispatch_timeout
+        # The `location` implementation property (§4.3's placement keywords)
+        # pins the first attempt and exempts it from hedging; redispatches
+        # and hedges leave the pin.
+        pinned = None
+        if not hedge and flight.redispatches == 0:
+            location = flight.request.get("properties", {}).get("location")
+            if location in self.worker_names:
+                pinned = location
+        worker = self._route(runtime, key, flight, hedge, pinned, now)
+        if worker is None:
+            return  # hedge with no distinct worker available: skip
+        if hedge:
+            flight.hedged = True
+            self.stats["hedges"] += 1
+            self.rlog.record(now, "hedge", runtime.iid, key[0], worker)
         else:
-            worker = self._route(runtime, key, flight, hedge, now)
-            if worker is None:
-                return  # hedge with no distinct worker available: skip
-            if hedge:
-                flight.hedged = True
-                self.stats["hedges"] += 1
-                self.rlog.record(now, "hedge", runtime.iid, key[0], worker)
-            else:
-                keymat = f"{runtime.iid}:{key[0]}:{key[1]}"
-                flight.dispatched_at = now
-                flight.sent = True
-                flight.next_attempt_at = cfg.policy.next_attempt_at(
-                    keymat, flight.redispatches, now
-                )
-                flight.hedge_at = (
-                    now + cfg.hedge_delay
-                    if cfg.hedge_delay is not None and not flight.hedged
-                    else None
-                )
-                self.rlog.record(
-                    now,
-                    "redispatch" if flight.redispatches else "dispatch",
-                    runtime.iid,
-                    key[0],
-                    worker,
-                    detail=f"attempt {flight.redispatches + 1}",
-                )
-            self.health.on_dispatch(worker, now)
-            flight.sent_to[worker] = now
+            keymat = f"{runtime.iid}:{key[0]}:{key[1]}"
+            flight.sent = True
+            flight.next_attempt_at = cfg.policy.next_attempt_at(
+                keymat, flight.redispatches, now
+            )
+            flight.hedge_at = (
+                now + cfg.hedge_delay
+                if cfg.hedge_delay is not None and not flight.hedged and pinned is None
+                else None
+            )
+            self.rlog.record(
+                now,
+                "redispatch" if flight.redispatches else "dispatch",
+                runtime.iid,
+                key[0],
+                worker,
+                detail=f"attempt {flight.redispatches + 1}",
+            )
+        self.health.on_dispatch(worker, now)
+        flight.sent_to[worker] = now
         self.stats["dispatches"] += 1
         try:
             self.broker.invoke_deferred(
@@ -918,38 +911,24 @@ class ExecutionService(Service):
         except CommFailure:
             pass  # sweeper retries
 
-    def _route_legacy(
-        self, runtime: _Runtime, key: Tuple[str, int], flight: _InFlight
-    ) -> str:
-        """The original dispatcher: pin first, then blind crc32 rotation."""
-        import zlib
-
-        pinned = flight.request.get("properties", {}).get("location")
-        if pinned in self.worker_names and flight.redispatches == 0:
-            return pinned
-        stable = zlib.crc32(f"{runtime.iid}:{key[0]}:{key[1]}".encode())
-        return self.worker_names[(stable + flight.redispatches) % len(self.worker_names)]
-
     def _route(
         self,
         runtime: _Runtime,
         key: Tuple[str, int],
         flight: _InFlight,
         hedge: bool,
+        pinned: Optional[str],
         now: float,
     ) -> Optional[str]:
         """Health-aware worker choice.
 
-        The `location` implementation property pins the *first* attempt
-        (§4.3's placement keywords) — unless the pinned worker's breaker is
-        open, in which case the pin fails over immediately to the healthiest
+        A ``pinned`` worker takes the attempt — unless its breaker is open,
+        in which case the pin fails over immediately to the healthiest
         alternative (recorded as a ``failover`` event) rather than burning a
-        whole timeout on a known-bad worker.  Redispatches abandon the pin
-        entirely, as before.  Hedges exclude workers already carrying this
-        flight's current wave.
+        whole timeout on a known-bad worker.  Hedges exclude workers already
+        carrying this flight's current wave.
         """
-        pinned = flight.request.get("properties", {}).get("location")
-        if not hedge and pinned in self.worker_names and flight.redispatches == 0:
+        if pinned is not None:
             if self.health.allows(pinned, now):
                 return pinned
             alternative = self.health.route(now, exclude={pinned})
@@ -983,11 +962,8 @@ class ExecutionService(Service):
         except ValueError:
             delay = 0.0
         # keep the sweeper quiet until the timer is genuinely overdue
-        flight.dispatched_at = self._now() + delay
         flight.next_attempt_at = (
-            flight.dispatched_at
-            + (self.resilience.policy.base_delay
-               if self.resilience.enabled else self.dispatch_timeout)
+            self._now() + delay + self.resilience.policy.base_delay
         )
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
         taskclass = taskclass_from_plain(flight.request["taskclass"])
@@ -1051,36 +1027,30 @@ class ExecutionService(Service):
                     if key not in runtime.in_flight or not flight.sent:
                         continue
                     if (
-                        cfg.enabled
-                        and self.admission.allow_hedge()
+                        self.admission.allow_hedge()
                         and not flight.hedged
                         and flight.hedge_at is not None
                         and flight.hedge_at <= now < flight.next_attempt_at
                     ):
-                        pinned = flight.request.get("properties", {}).get("location")
-                        if pinned in self.worker_names and flight.redispatches == 0:
-                            flight.hedge_at = None  # honour the pin: no hedge
-                        else:
-                            self._send(runtime, key, flight, hedge=True)
+                        self._send(runtime, key, flight, hedge=True)
                     if key not in runtime.in_flight:
                         continue
                     if now >= flight.next_attempt_at:
-                        if cfg.enabled:
-                            for worker in list(flight.sent_to):
-                                self.health.on_timeout(worker, now)
-                                self.rlog.record(
-                                    now, "timeout", runtime.iid, key[0], worker
-                                )
-                            flight.sent_to.clear()
-                            if cfg.policy.exhausted(flight.redispatches) and (
-                                flight.request.get("code") != "system.timer"
-                            ):
-                                self._abandon(runtime, key, flight, now)
-                                continue
+                        for worker in list(flight.sent_to):
+                            self.health.on_timeout(worker, now)
+                            self.rlog.record(
+                                now, "timeout", runtime.iid, key[0], worker
+                            )
+                        flight.sent_to.clear()
+                        if cfg.policy.exhausted(flight.redispatches) and (
+                            flight.request.get("code") != "system.timer"
+                        ):
+                            self._abandon(runtime, key, flight, now)
+                            continue
                         flight.redispatches += 1
                         self.stats["redispatches"] += 1
                         self._send(runtime, key, flight)
-            if cfg.enabled and self._pending_acks:
+            if self._pending_acks:
                 # hedge losers that never replied: count the timeout so a
                 # dead hedge target still trips its breaker
                 horizon = cfg.policy.base_delay
@@ -1230,8 +1200,6 @@ class ExecutionService(Service):
         demonstrably served the request, so credit its latency and close its
         breaker — even when the journal then discards the reply as a
         duplicate (e.g. a hedge that lost the race)."""
-        if not self.resilience.enabled:
-            return
         worker = reply.get("worker")
         if not worker:
             return  # timer-task self-replies carry no worker
@@ -1252,7 +1220,7 @@ class ExecutionService(Service):
         wave (hedge losers) are parked in ``_pending_acks`` so their late
         replies still feed the health registry."""
         flight = runtime.in_flight.pop(flight_key, None)
-        if flight is not None and self.resilience.enabled:
+        if flight is not None:
             for worker, sent_at in flight.sent_to.items():
                 self._pending_acks[
                     (runtime.iid, flight_key[0], flight_key[1], worker)
@@ -1496,8 +1464,7 @@ class ExecutionService(Service):
 
         A flight that survived the replay was unanswered when the journal
         stopped, so it counts as a redispatch and loses its location pin:
-        the original target may be what crashed.  With resilience enabled
-        each resend gets a deterministic jittered offset inside
+        the original target may be what crashed.  Each resend gets a deterministic jittered offset inside
         ``policy.recovery_stagger``, so the herd does not hit the fleet in
         one burst.  The jitter key includes the durable fencing epoch, which
         (unlike ``stats["recoveries"]``, restarting at the same value on a
@@ -1509,8 +1476,7 @@ class ExecutionService(Service):
         epoch = self.epoch
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
             if (
-                not cfg.enabled
-                or cfg.policy.recovery_stagger <= 0
+                cfg.policy.recovery_stagger <= 0
                 or flight.request.get("code") == "system.timer"
             ):
                 self._send(runtime, key, flight)

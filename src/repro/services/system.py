@@ -6,6 +6,11 @@ node, all joined by the ORB over the (faulty, partitionable) network.  It
 exposes the same client surface the paper's Java-applet administration tools
 used: deploy a script, instantiate it, watch it run, reconfigure it — while
 experiments crash nodes and drop messages underneath.
+
+The execution service is built from one set of construction arguments,
+standalone or as replicas (:mod:`repro.replication`), and always receives a
+:class:`~repro.resilience.ResilienceConfig`: adaptive dispatch
+(:mod:`repro.resilience`) is its only dispatch path.
 """
 
 from __future__ import annotations
@@ -70,8 +75,7 @@ class WorkflowSystem:
         """``resilience`` tunes the adaptive dispatch layer (backoff, circuit
         breakers, health routing, hedging).  Defaults to
         ``ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval,
-        seed=seed)``; pass ``ResilienceConfig.disabled()`` for the legacy
-        fixed-interval dispatcher.  ``dup_rate``/``reorder_window`` feed the
+        seed=seed)``.  ``dup_rate``/``reorder_window`` feed the
         network's duplication and reordering fault model.
 
         The I/O core (docs/PROTOCOLS.md §11) is on by default:
@@ -135,8 +139,16 @@ class WorkflowSystem:
             self.workers.append(worker)
             worker_names.append(name)
 
-        resilience = resilience or ResilienceConfig.for_timeouts(
-            dispatch_timeout, sweep_interval, seed=seed
+        # what every execution service gets, standalone or replicated
+        service_kwargs = dict(
+            repository_name="repository",
+            worker_names=worker_names,
+            resilience=resilience
+            or ResilienceConfig.for_timeouts(dispatch_timeout, sweep_interval, seed=seed),
+            sweep_interval=sweep_interval,
+            journal_batch=journal_batch,
+            journal_window=journal_window,
+            overload=overload,
         )
         self.lease_node: Optional[Node] = None
         self.lease: Optional[LeaseService] = None
@@ -165,18 +177,10 @@ class WorkflowSystem:
                     rname,
                     store,
                     self.broker,
-                    repository_name="repository",
-                    worker_names=worker_names,
                     lease_name="lease",
                     peer_names=replica_names,
                     repl_interval=repl_interval,
-                    durable=True,
-                    dispatch_timeout=dispatch_timeout,
-                    sweep_interval=sweep_interval,
-                    resilience=resilience,
-                    journal_batch=journal_batch,
-                    journal_window=journal_window,
-                    overload=overload,
+                    **service_kwargs,
                 )
                 self.replica_nodes.append(node)
                 self.execution_replicas.append(service)
@@ -197,18 +201,8 @@ class WorkflowSystem:
                 "execution-store", mirror_path=mirror_path, group_commit=group_commit
             )
             self.execution = ExecutionService(
-                "execution",
-                self.execution_store,
-                self.broker,
-                repository_name="repository",
-                worker_names=worker_names,
-                durable=durable,
-                dispatch_timeout=dispatch_timeout,
-                sweep_interval=sweep_interval,
-                resilience=resilience,
-                journal_batch=journal_batch,
-                journal_window=journal_window,
-                overload=overload,
+                "execution", self.execution_store, self.broker,
+                durable=durable, **service_kwargs,
             )
             self.execution_node.install(self.execution)
             self.broker.register(

@@ -156,24 +156,28 @@ class TestDeadlines:
         assert result["outcome"] == "expired"
 
 
+def pinned_script(location):
+    """One task ``t`` (code ``impl``) placed by ``location``; None = unpinned."""
+    b = ScriptBuilder()
+    b.object_class("Data")
+    b.taskclass("T").input_set("main").outcome("ok", out="Data")
+    b.taskclass("Root").input_set("main").outcome("done", out="Data")
+    c = b.compound("wf", "Root")
+    placement = {"location": location} if location else {}
+    c.task("t", "T").implementation(code="impl", **placement).notify(
+        "main", from_input("wf", "main")
+    ).up()
+    c.output("done").object("out", from_output("t", "ok", "out")).up()
+    c.up()
+    return b.build()
+
+
 class TestWorkerPinning:
-    def pinned_script(self, location):
-        b = ScriptBuilder()
-        b.object_class("Data")
-        b.taskclass("T").input_set("main").outcome("ok", out="Data")
-        b.taskclass("Root").input_set("main").outcome("done", out="Data")
-        c = b.compound("wf", "Root")
-        c.task("t", "T").implementation(code="impl", location=location).notify(
-            "main", from_input("wf", "main")
-        ).up()
-        c.output("done").object("out", from_output("t", "ok", "out")).up()
-        c.up()
-        return b.build()
 
     def test_location_property_pins_worker(self):
         system = WorkflowSystem(workers=3)
         system.registry.register("impl", lambda ctx: outcome("ok", out="x"))
-        system.deploy("p", format_script(self.pinned_script("worker-3")))
+        system.deploy("p", format_script(pinned_script("worker-3")))
         iid = system.instantiate("p", "wf", {})
         result = system.run_until_terminal(iid)
         assert result["status"] == "completed"
@@ -183,7 +187,7 @@ class TestWorkerPinning:
     def test_dead_pinned_worker_does_not_stall(self):
         system = WorkflowSystem(workers=2, dispatch_timeout=15.0, sweep_interval=5.0)
         system.registry.register("impl", lambda ctx: outcome("ok", out="x"))
-        system.deploy("p", format_script(self.pinned_script("worker-1")))
+        system.deploy("p", format_script(pinned_script("worker-1")))
         system.worker_nodes[0].crash()
         iid = system.instantiate("p", "wf", {})
         result = system.run_until_terminal(iid, max_time=5_000)

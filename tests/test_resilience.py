@@ -2,14 +2,16 @@
 
 Covers the retry policy (backoff shape, deterministic jitter), per-worker
 circuit breakers (state machine), health-aware routing, post-recovery
-staggering, the redispatch cap (abandonment), and — end to end — that hedged
-duplicate dispatches are never applied twice.
+staggering, the redispatch cap (abandonment), the location pin rule, and —
+end to end — that hedged duplicate dispatches are never applied twice.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.engine import outcome
+from repro.lang import format_script
 from repro.net import FaultPlan, RandomCrasher
 from repro.resilience import (
     BreakerConfig,
@@ -20,7 +22,9 @@ from repro.resilience import (
     RetryPolicy,
 )
 from repro.services import WorkflowSystem
+from repro.services.worker import ServiceProfile
 from repro.workloads import paper_order
+from tests.test_deadlines import pinned_script
 
 
 # ---------------------------------------------------------------------------
@@ -381,18 +385,66 @@ class TestHedging:
         assert names == {"worker-1", "worker-2"}
 
 
-class TestLegacyMode:
-    def test_disabled_config_reports_no_resilience_activity(self):
-        system = order_system(
-            workers=2,
-            dispatch_timeout=20.0,
-            sweep_interval=5.0,
-            resilience=ResilienceConfig.disabled(),
+class TestLocationPin:
+    """The `location` implementation property pins a task's first attempt:
+    that attempt is never hedged, fails over once if the pinned worker's
+    breaker is open, and every redispatch leaves the pin."""
+
+    def pinned_system(self, location, **kw):
+        system = WorkflowSystem(**kw)
+        system.registry.register("impl", lambda ctx: outcome("ok", out="x"))
+        system.deploy("p", format_script(pinned_script(location)))
+        return system
+
+    def slow_first_attempt(self, location):
+        """worker-1 takes 12s per task: past the 10s hedge delay, well
+        inside the ~30s redispatch deadline."""
+        system = self.pinned_system(
+            location, workers=3, dispatch_timeout=30.0, sweep_interval=5.0
         )
-        iid = system.instantiate("order", paper_order.ROOT_TASK, {"order": "legacy"})
-        result = system.run_until_terminal(iid, max_time=10_000)
-        assert result["status"] == "completed"
-        stats = system.execution.stats
-        assert stats["hedges"] == 0
-        assert stats["breaker_trips"] == 0
-        assert stats["abandoned"] == 0
+        system.workers[0].profile = ServiceProfile(service_time=12.0)
+        iid = system.instantiate("p", "wf", {})
+        assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
+        return system
+
+    def test_slow_pinned_first_attempt_is_never_hedged(self):
+        system = self.slow_first_attempt("worker-1")
+        assert system.execution.stats["hedges"] == 0
+        assert system.execution.stats["redispatches"] == 0
+        assert [w.executed != [] for w in system.workers] == [True, False, False]
+        # control: the same slow first attempt, unpinned, earns a hedge
+        unpinned = self.slow_first_attempt(None)
+        assert unpinned.execution.rlog.of_kind("dispatch")[0].worker == "worker-1"
+        assert unpinned.execution.stats["hedges"] == 1
+
+    def test_open_breaker_on_pinned_worker_fails_over_once(self):
+        system = self.pinned_system(
+            "worker-1", workers=3, dispatch_timeout=20.0, sweep_interval=5.0
+        )
+        health = system.execution.health
+        for _ in range(3):  # for_timeouts' breaker failure_threshold
+            health.on_timeout("worker-1", system.clock.now)
+        assert not health.allows("worker-1", system.clock.now)
+        iid = system.instantiate("p", "wf", {})
+        assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
+        failovers = system.execution.rlog.of_kind("failover")
+        assert len(failovers) == 1
+        assert system.execution.stats["failovers"] == 1
+        assert failovers[0].worker != "worker-1"
+        assert not system.workers[0].executed
+
+    def test_redispatch_leaves_the_pin(self):
+        system = self.pinned_system(
+            "worker-1", workers=3, dispatch_timeout=20.0, sweep_interval=5.0
+        )
+        FaultPlan(system.clock).crash_at(
+            system.worker_nodes[0], when=0.5, down_for=1_000.0
+        ).arm()
+        iid = system.instantiate("p", "wf", {})
+        assert system.run_until_terminal(iid, max_time=5_000)["status"] == "completed"
+        rlog = system.execution.rlog
+        assert [e.worker for e in rlog.of_kind("dispatch")] == ["worker-1"]
+        redispatched = {e.worker for e in rlog.of_kind("redispatch")}
+        assert redispatched and "worker-1" not in redispatched
+        assert rlog.of_kind("failover") == []  # the pin was honoured, then left
+        assert not system.workers[0].executed
