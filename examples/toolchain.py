@@ -9,7 +9,8 @@ names a witness for each), and Graphviz export for the figures.
 Run:  python examples/toolchain.py
 """
 
-from repro.core import analyze_outcomes, structure_summary
+from repro.analysis import analyze_outcomes
+from repro.core import structure_summary
 from repro.lang import compile_script, format_script, lint_script, to_dot
 from repro.workloads import paper_order
 

@@ -1,12 +1,13 @@
-"""Whole-script static analysis (no execution).
+"""Whole-script analysis.
 
 The paper's central design point is that task *interfaces* (input sets,
 outcomes, marks) are explicit while implementations stay opaque — so a
 script's composition can be analysed *before* anything runs.  This package
-is that analyser.  It operates on a parsed :class:`~repro.core.schema.Script`
-and never executes task code (contrast :mod:`repro.core.analysis`, which
-explores behaviour by running the real engine against synthetic
-implementations — the two cross-check each other in ``repro analyze``).
+is that analyser.  Its static passes operate on a parsed
+:class:`~repro.core.schema.Script` and never execute task code; the outcome
+explorer (:mod:`repro.analysis.outcomes`) instead explores behaviour by
+running the real engine against synthetic implementations — the two
+cross-check each other in ``repro analyze``.
 
 Five checkers, one unified report:
 
@@ -53,6 +54,7 @@ from .findings import Finding, Severity, StaticReport
 from .interference import check_interference
 from .liveness import LivenessResult, check_liveness
 from .lockorder import check_lockorder
+from .outcomes import OutcomeAnalysis, analyze_outcomes
 from .recovery import check_recovery
 from .registry import DIAGNOSTICS, DiagnosticRegistry, DiagnosticSpec
 from .sarif import to_sarif
@@ -71,7 +73,7 @@ def analyze_script(
 
     ``root_task``/``input_set`` select the workflow analysed for liveness
     and interference (defaulting exactly like
-    :func:`repro.core.analysis.analyze_outcomes`: the sole top-level task,
+    :func:`repro.analysis.outcomes.analyze_outcomes`: the sole top-level task,
     started via ``main`` or its first declared input set).  Typeflow and
     lint always cover the whole script.
     """
@@ -111,9 +113,11 @@ __all__ = [
     "DynamicFinding",
     "Finding",
     "LivenessResult",
+    "OutcomeAnalysis",
     "Sanitizer",
     "Severity",
     "StaticReport",
+    "analyze_outcomes",
     "analyze_script",
     "sanitized_exploration",
     "check_interference",

@@ -428,44 +428,38 @@ def sanitized_exploration(
     """Re-run the outcome explorer's witness assignments under a sanitized
     concurrent engine.
 
-    :func:`repro.core.analysis.analyze_outcomes` already found, for every
+    :func:`repro.analysis.outcomes.analyze_outcomes` already found, for every
     reachable outcome, one assignment of implementation choices that
     produces it; this replays each witness ``repeats`` times on the
     thread-pooled engine with the sanitizer attached, so the dynamic race
     detector observes real concurrent interleavings of every reachable
-    behaviour.  Returns the sanitizer (accumulating if one is passed in).
+    behaviour.  Each run uses the root task, input set and placeholder
+    inputs the analysis recorded; ``root_task``/``input_set`` only select
+    them when no ``analysis`` is passed.  Returns the sanitizer
+    (accumulating if one is passed in).
     """
-    from ..core.analysis import _UniversalRegistry, _synthetic_impl, analyze_outcomes
-    from ..core.errors import ExecutionError
     from ..engine.concurrent import ConcurrentEngine
+    from .outcomes import analyze_outcomes, synthetic_registry
 
-    if root_task is None:
-        if len(script.tasks) != 1:
-            raise ExecutionError("script has several top-level tasks; name one")
-        root_task = next(iter(script.tasks))
     if analysis is None:
         analysis = analyze_outcomes(script, root_task, input_set=input_set)
     if sanitizer is None:
         sanitizer = Sanitizer()
-    root_class = script.taskclass_of(script.tasks[root_task])
-    spec = root_class.input_set(input_set)
-    if spec is None and root_class.input_sets:
-        spec = root_class.input_sets[0]
-        input_set = spec.name
-    inputs = (
-        {obj.name: f"<{obj.name}>" for obj in spec.objects} if spec is not None else {}
-    )
     for choices in analysis.reachable.values():
-        registry = _UniversalRegistry(_synthetic_impl(choices))
         engine = ConcurrentEngine(
-            registry,
+            synthetic_registry(choices),
             default_retries=0,
             max_repeats=2,
             parallelism=parallelism,
             sanitizer=sanitizer,
         )
         for _ in range(repeats):
-            engine.run(script, root_task, inputs=inputs, input_set=input_set)
+            engine.run(
+                script,
+                analysis.root_task,
+                inputs=analysis.inputs,
+                input_set=analysis.input_set,
+            )
     return sanitizer
 
 

@@ -5,7 +5,7 @@ ready, which bound input sets are unsatisfiable, and which root outcomes are
 statically unreachable.  The model is a fixpoint over *producible events*:
 
 * the root task is startable (the environment supplies one input set, the
-  same default rule as :func:`repro.core.analysis.analyze_outcomes`);
+  same default rule as :func:`repro.analysis.outcomes.analyze_outcomes`);
 * a startable task may publish an ``INPUT`` event for each satisfiable set,
   and — implementations being opaque — any of its declared outputs;
 * a startable compound publishes whatever mapped outputs its inner events
@@ -21,7 +21,7 @@ The result is a *may* analysis: everything the real engines can do is
 producible here, so a task flagged dead (``E201``) or an outcome flagged
 unreachable (``E202``) is a genuine composition bug.  ``repro analyze``
 cross-checks these verdicts against the dynamic explorer
-(:mod:`repro.core.analysis`) and treats disagreement as an analyser bug.
+(:mod:`repro.analysis.outcomes`) and treats disagreement as an analyser bug.
 """
 
 from __future__ import annotations

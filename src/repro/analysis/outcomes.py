@@ -23,12 +23,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Tuple
 
-from ..engine.context import TaskContext, TaskResult, outcome as make_outcome
-from ..engine.events import WorkflowStatus
-from ..engine.local import LocalEngine
-from ..engine.registry import ImplementationRegistry
-from .errors import ExecutionError
-from .schema import (
+from ..core.errors import ExecutionError
+from ..core.schema import (
     AnyTaskDecl,
     CompoundTaskDecl,
     OutputKind,
@@ -36,6 +32,10 @@ from .schema import (
     TaskClass,
     TaskDecl,
 )
+from ..engine.context import TaskContext, TaskResult
+from ..engine.events import WorkflowStatus
+from ..engine.local import LocalEngine
+from ..engine.registry import ImplementationRegistry
 
 Assignment = Dict[str, str]  # task path -> chosen output name
 
@@ -47,6 +47,10 @@ class OutcomeAnalysis:
     root_task: str
     cases_explored: int
     truncated: bool
+    # the input set the root was started with (``main``, else its first
+    # declared one) and the placeholder objects fed to it
+    input_set: str = "main"
+    inputs: Dict[str, str] = field(default_factory=dict)
     reachable: Dict[str, Assignment] = field(default_factory=dict)
     unreachable: List[str] = field(default_factory=list)
     stall_witness: Optional[Assignment] = None
@@ -128,7 +132,7 @@ def analyze_outcomes(
         {obj.name: f"<{obj.name}>" for obj in spec.objects} if spec is not None else {}
     )
 
-    analysis = OutcomeAnalysis(root_task, 0, False)
+    analysis = OutcomeAnalysis(root_task, 0, False, input_set, inputs)
     declared = [o.name for o in root_class.final_outputs()]
 
     product = itertools.product(*(space for _path, space in spaces))
@@ -138,8 +142,7 @@ def analyze_outcomes(
             break
         analysis.cases_explored += 1
         choices = {path: name for (path, _), name in zip(spaces, combo)}
-        registry = _UniversalRegistry(_synthetic_impl(choices))
-        engine = LocalEngine(registry, default_retries=0, max_repeats=2)
+        engine = LocalEngine(synthetic_registry(choices), default_retries=0, max_repeats=2)
         result = engine.run(script, root_task, inputs=inputs, input_set=input_set)
         if result.status in (WorkflowStatus.COMPLETED, WorkflowStatus.ABORTED):
             analysis.reachable.setdefault(result.outcome, choices)
@@ -151,6 +154,12 @@ def analyze_outcomes(
         name for name in declared if name not in analysis.reachable
     ]
     return analysis
+
+
+def synthetic_registry(choices: Mapping[str, str]) -> ImplementationRegistry:
+    """A registry answering every code name with the synthetic implementation
+    that realises one assignment of outputs (e.g. a reachability witness)."""
+    return _UniversalRegistry(_synthetic_impl(choices))
 
 
 class _UniversalRegistry(ImplementationRegistry):

@@ -144,7 +144,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     # side-by-side: the static may-analysis against the dynamic explorer,
     # which *executes* the workflow under every implementation choice.
-    from .core.analysis import analyze_outcomes
+    from .analysis import analyze_outcomes
 
     analysis = analyze_outcomes(script, args.task, max_cases=args.max_cases)
     static_reachable = set(report.liveness.reachable_outcomes) if report.liveness else set()

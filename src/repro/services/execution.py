@@ -4,11 +4,15 @@ Coordinates workflow instances with the paper's system-level guarantees:
 
 * **Durable coordination state.**  Everything needed to reconstruct an
   instance — script text, initial inputs, and a journal of task results,
-  marks, failures, reconfigurations and forced aborts — is recorded in
-  persistent atomic objects under transactions *before* it takes effect on
-  the in-memory instance tree.  This is the paper's "records inter-task
-  dependencies in persistent atomic objects and uses atomic transactions for
-  propagating coordination information".
+  marks, failures, reconfigurations, forced aborts, deadline expiries and
+  sheds — is recorded in persistent atomic objects under transactions.
+  This is the paper's "records inter-task dependencies in persistent atomic
+  objects and uses atomic transactions for propagating coordination
+  information".  :meth:`_apply` is the one definition of how an entry takes
+  effect; the live path (:meth:`_record`) applies it, then journals it in
+  the same event, so an entry that fails to apply is never journaled, and
+  the entry is durable before any dependent dispatch, terminal transition
+  or acknowledgement (docs/PROTOCOLS.md §4.1, §11).
 * **Crash recovery.**  After a node crash, :meth:`on_recover` replays each
   instance's journal over a fresh tree; because scheduling is deterministic,
   the rebuilt tree reaches exactly the pre-crash state, and still-unfinished
@@ -44,11 +48,11 @@ import itertools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set, Tuple
 
 from ..core.errors import ExecutionError, WorkflowError
 from ..core.instrument import IOPATH_STATS
-from ..core.schema import Script
+from ..core.schema import Implementation, Script
 from ..core.values import ObjectRef
 from ..engine.events import WorkflowStatus
 from ..engine.instance import InstanceTree, TaskNode
@@ -152,6 +156,12 @@ def _script_has_deadlines(script: Script) -> bool:
 _COMPILE_CACHE: Dict[str, Script] = {}
 _COMPILE_CACHE_MAX = 128
 
+# Wire forms of the compiled scripts' frozen parts (task classes,
+# implementation properties), keyed by id() with a strong reference to the
+# keyed object so ids cannot be recycled under the memo.  Cleared together
+# with _COMPILE_CACHE, so it holds no more history than the cache does.
+_WIRE_FORMS: Dict[int, Tuple[Any, Any]] = {}
+
 # Bound on the hedge-loser ack table (_pending_acks): age-based reaping in the
 # sweeper is the primary mechanism; this cap is the backstop under sustained
 # overload, when losers can accrue faster than the reap horizon drains them.
@@ -164,8 +174,21 @@ def _compile_cached(text: str) -> Script:
         script = compile_script(text)
         if len(_COMPILE_CACHE) >= _COMPILE_CACHE_MAX:
             _COMPILE_CACHE.clear()
+            _WIRE_FORMS.clear()
         _COMPILE_CACHE[text] = script
     return script
+
+
+def _wire_form(part: Any, to_plain: Callable[[Any], Any]) -> Any:
+    """Memoized wire form of a frozen script part.  Task classes and
+    implementations are shared by every execution of the declaring script,
+    so the plain form is computed once; ORB marshalling copies it at the
+    boundary, keeping the cached instance unaliased."""
+    cached = _WIRE_FORMS.get(id(part))
+    if cached is None or cached[0] is not part:
+        cached = (part, to_plain(part))
+        _WIRE_FORMS[id(part)] = cached
+    return cached[1]
 
 
 class ExecutionService(Service):
@@ -205,10 +228,6 @@ class ExecutionService(Service):
         self.journal_window = journal_window
         self._jbuf: List[Tuple[_Runtime, Dict[str, Any]]] = []
         self._jflush_armed = False
-        # memoized wire forms keyed by id() with a strong reference to the
-        # keyed object, so ids cannot be recycled under the cache
-        self._plain_taskclasses: Dict[int, Tuple[Any, Dict[str, Any]]] = {}
-        self._plain_props: Dict[int, Tuple[Any, Dict[str, str]]] = {}
         self.resilience = resilience
         self.manager = TransactionManager(f"{name}-tm")
         self.runtimes: Dict[str, _Runtime] = {}
@@ -453,12 +472,8 @@ class ExecutionService(Service):
     def reconfigure(self, iid: str, new_script_text: str) -> bool:
         """Atomically apply a modified script to the *running* instance."""
         runtime = self._runtime(iid)
-        new_script = _compile_cached(new_script_text)
         with self._journal_guard():
-            runtime.tree.reconfigure(new_script)  # raises without effect if illegal
-            runtime.script = new_script
-            runtime.has_deadlines = _script_has_deadlines(new_script)
-            self._journal(runtime, {"type": "reconfig", "script_text": new_script_text})
+            self._record(runtime, {"type": "reconfig", "script_text": new_script_text})
             self._dispatch_pending(runtime)
             self.flush_journal()  # client observes the reconfiguration as durable
         self._acknowledge()
@@ -467,8 +482,7 @@ class ExecutionService(Service):
     def force_abort(self, iid: str, task_path: str, abort_name: Optional[str] = None) -> bool:
         runtime = self._runtime(iid)
         with self._journal_guard():
-            runtime.tree.force_abort(task_path, abort_name)
-            self._journal(
+            self._record(
                 runtime, {"type": "force_abort", "path": task_path, "name": abort_name}
             )
             self._dispatch_pending(runtime)
@@ -625,9 +639,7 @@ class ExecutionService(Service):
             "result": result_to_plain(result),
         }
         with self._journal_guard():
-            self._journal(runtime, entry)
-            runtime.external.discard((task_path, exec_index))
-            self._apply_entry(runtime, entry)
+            self._record(runtime, entry)
             self._dispatch_pending(runtime)
             self.flush_journal()  # client observes the completion as durable
         self._acknowledge()
@@ -647,24 +659,6 @@ class ExecutionService(Service):
     def _now(self) -> float:
         return self.node.clock.now if self.node is not None else 0.0
 
-    def _taskclass_plain(self, taskclass: Any) -> Dict[str, Any]:
-        """Memoized wire form of a task class.  Task classes are frozen and
-        shared by every execution of the declaring script, so the plain dict
-        is computed once; ORB marshalling copies it at the boundary, keeping
-        the cached instance unaliased."""
-        cached = self._plain_taskclasses.get(id(taskclass))
-        if cached is None or cached[0] is not taskclass:
-            cached = (taskclass, taskclass_to_plain(taskclass))
-            self._plain_taskclasses[id(taskclass)] = cached
-        return cached[1]
-
-    def _props_plain(self, implementation: Any) -> Dict[str, str]:
-        cached = self._plain_props.get(id(implementation))
-        if cached is None or cached[0] is not implementation:
-            cached = (implementation, implementation.as_dict())
-            self._plain_props[id(implementation)] = cached
-        return cached[1]
-
     def _drain(self, runtime: _Runtime) -> None:
         """Begin execution of every ready task; queue the work requests."""
         while True:
@@ -679,11 +673,11 @@ class ExecutionService(Service):
                 instance_id=runtime.iid,
                 task_path=node.path,
                 execution_index=exec_index,
-                taskclass=self._taskclass_plain(node.taskclass),
+                taskclass=_wire_form(node.taskclass, taskclass_to_plain),
                 code=node.decl.implementation.code,
                 input_set=input_set,
                 inputs=refs_to_plain(inputs),
-                properties=self._props_plain(node.decl.implementation),
+                properties=_wire_form(node.decl.implementation, Implementation.as_dict),
                 attempt=node.attempt + 1,
                 repeats=node.machine.repeats,
                 reply_to=self.node.name if self.node else "",
@@ -712,9 +706,9 @@ class ExecutionService(Service):
     def _shed(self, runtime: _Runtime, criticality: str, reason: str) -> None:
         """Decisive ``overloaded`` outcome for a not-yet-started instance.
 
-        Journaled before it takes effect like every other outcome, so replay
-        and recovery reproduce the shed exactly and the no-silent-drop oracle
-        can hold the service to it.  Only instances that have not dispatched
+        Journaled like every other outcome, so replay and recovery reproduce
+        the shed exactly and the no-silent-drop oracle can hold the service
+        to it.  Only instances that have not dispatched
         anything are ever shed — started work (flights, 2PC participation,
         journaled progress) is never thrown away."""
         self.admission.on_shed(runtime.iid, criticality, self._now(), reason)
@@ -725,8 +719,7 @@ class ExecutionService(Service):
             "criticality": criticality,
         }
         with self._journal_guard():
-            self._journal(runtime, entry)
-            self._apply_entry(runtime, entry)
+            self._record(runtime, entry)
             self.flush_journal()  # terminal outcome: durable before observable
 
     def _promote_ready(self) -> None:
@@ -788,8 +781,7 @@ class ExecutionService(Service):
             expires_at = runtime.deadline_expiries.get(key)
             if expires_at is None:
                 expires_at = self._now() + delay
-                runtime.deadline_expiries[key] = expires_at
-                self._journal(
+                self._record(
                     runtime,
                     {
                         "type": "deadline",
@@ -823,8 +815,7 @@ class ExecutionService(Service):
                     or runtime.exec_counter.get(path, 0) != count
                 ):
                     return
-                runtime.tree.force_abort(path)
-                self._journal(
+                self._record(
                     runtime, {"type": "force_abort", "path": path, "name": None}
                 )
                 self._dispatch_pending(runtime)
@@ -968,30 +959,21 @@ class ExecutionService(Service):
         flight.hedge_at = None  # timer tasks never go to a worker: no hedging
         taskclass = taskclass_from_plain(flight.request["taskclass"])
         outcomes = [o for o in taskclass.outputs if o.kind.name == "OUTCOME"]
-        if not outcomes:
-            reply = {
-                "instance_id": runtime.iid,
-                "task_path": key[0],
-                "execution_index": key[1],
-                "ok": False,
-                "error": "system.timer task class declares no outcome",
-                "marks": [],
-            }
-            self.node.call_after(max(delay, 0.0), lambda: self._handle_reply(runtime.iid, reply))
-            return
-        from ..engine.context import TaskResult
-        from ..core.schema import OutputKind
-
-        result = TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
-        reply = {
+        reply: Dict[str, Any] = {
             "instance_id": runtime.iid,
             "task_path": key[0],
             "execution_index": key[1],
-            "ok": True,
-            "result": result_to_plain(result),
+            "ok": bool(outcomes),
             "marks": [],
-            "error": None,
+            "error": None if outcomes else "system.timer task class declares no outcome",
         }
+        if outcomes:
+            from ..engine.context import TaskResult
+            from ..core.schema import OutputKind
+
+            reply["result"] = result_to_plain(
+                TaskResult(OutputKind.OUTCOME, outcomes[0].name, {})
+            )
         self.node.call_after(
             max(delay, 0.0),
             lambda: self._handle_reply(runtime.iid, reply),
@@ -1085,12 +1067,7 @@ class ExecutionService(Service):
             "exec": key[1],
             "error": f"dispatch abandoned after {flight.redispatches} redispatches",
         }
-        self._journal(runtime, entry)
-        # through _resolve_flight (not a bare pop): any workers still carrying
-        # this flight's wave are parked in _pending_acks, so their late
-        # replies keep feeding the health registry instead of vanishing
-        self._resolve_flight(runtime, key)
-        self._apply_entry(runtime, entry)
+        self._record(runtime, entry)
         self._dispatch_pending(runtime)
 
     # -- replies and marks ----------------------------------------------------------------------
@@ -1107,20 +1084,30 @@ class ExecutionService(Service):
         runtime = self.runtimes.get(payload.get("instance_id", ""))
         if runtime is None:
             return
-        key = ("mark", payload["task_path"], payload["execution_index"], payload["name"])
-        if key in runtime.journal_keys:
-            return
-        entry = {
-            "type": "mark",
-            "path": payload["task_path"],
-            "exec": payload["execution_index"],
-            "name": payload["name"],
-            "objects": payload["objects"],
-        }
         with self._journal_guard():
-            self._journal(runtime, entry)
-            self._apply_mark(runtime, entry)
-            self._dispatch_pending(runtime)
+            if self._record_mark(
+                runtime, payload["task_path"], payload["execution_index"], payload
+            ):
+                self._dispatch_pending(runtime)
+
+    def _record_mark(
+        self, runtime: _Runtime, path: str, exec_index: int, mark: Dict[str, Any]
+    ) -> bool:
+        """Record a mark unless one of its two copies (the datagram, the
+        copy carried in the final reply) already was; True when new."""
+        if ("mark", path, exec_index, mark["name"]) in runtime.journal_keys:
+            return False
+        self._record(
+            runtime,
+            {
+                "type": "mark",
+                "path": path,
+                "exec": exec_index,
+                "name": mark["name"],
+                "objects": mark["objects"],
+            },
+        )
+        return True
 
     def _handle_reply(self, iid: str, reply: Dict[str, Any]) -> None:
         if not self.is_primary():
@@ -1146,28 +1133,14 @@ class ExecutionService(Service):
         with self._journal_guard():
             # marks carried in the reply (the datagram copies may have been lost)
             for mark in reply.get("marks", ()):
-                mark_key = ("mark", path, exec_index, mark["name"])
-                if mark_key in runtime.journal_keys:
-                    continue
-                entry = {
-                    "type": "mark",
-                    "path": path,
-                    "exec": exec_index,
-                    "name": mark["name"],
-                    "objects": mark["objects"],
-                }
-                self._journal(runtime, entry)
-                self._apply_mark(runtime, entry)
+                self._record_mark(runtime, path, exec_index, mark)
             if reply.get("ok") and reply.get("external"):
                 # the task parked itself awaiting an external completion; stop
                 # the sweeper from re-dispatching it and remember it durably
-                if (path, exec_index) in runtime.external:
+                if flight_key in runtime.external:
                     self.stats["duplicate_replies"] += 1
                     return
-                entry = {"type": "external", "path": path, "exec": exec_index}
-                self._journal(runtime, entry)
-                self._resolve_flight(runtime, flight_key)
-                runtime.external.add((path, exec_index))
+                self._record(runtime, {"type": "external", "path": path, "exec": exec_index})
                 return
             if reply.get("ok"):
                 entry = {
@@ -1183,9 +1156,7 @@ class ExecutionService(Service):
                     "exec": exec_index,
                     "error": reply.get("error", "unknown"),
                 }
-            self._journal(runtime, entry)
-            self._resolve_flight(runtime, flight_key)
-            self._apply_entry(runtime, entry)
+            self._record(runtime, entry)
             crash_point("exec.reply.applied", self)
             self._dispatch_pending(runtime)
 
@@ -1241,13 +1212,77 @@ class ExecutionService(Service):
 
     # -- journal ----------------------------------------------------------------------------------
 
+    def _record(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
+        """The live path of every journal entry: apply it, then journal it.
+        An entry whose application raises (an illegal reconfiguration, a
+        force_abort of an unknown path) is therefore never journaled."""
+        self._apply(runtime, entry)
+        self._journal(runtime, entry)
+
+    def _apply(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
+        """How a journal entry takes effect on a runtime — the one definition,
+        shared by the live path (:meth:`_record`) and replay, so a replayed
+        runtime is the live one by construction."""
+        kind = entry["type"]
+        key = (entry.get("path"), entry.get("exec"))
+        if kind == "deadline":
+            # inert for the tree: remembers the absolute expiry so recovery
+            # re-arms the timer with the *remaining* deadline
+            runtime.deadline_expiries[key] = entry["expires_at"]
+            return
+        if kind == "reconfig":
+            new_script = _compile_cached(entry["script_text"])
+            runtime.tree.reconfigure(new_script)  # raises without effect if illegal
+            runtime.script = new_script
+            runtime.has_deadlines = _script_has_deadlines(new_script)
+            return
+        if kind == "force_abort":
+            runtime.tree.force_abort(entry["path"], entry.get("name"))
+            return
+        if kind == "overloaded":
+            # decisive shed outcome: the whole instance fails terminally
+            # before any of its tasks dispatched, so nothing was sent
+            runtime.in_flight.clear()
+            runtime.external.clear()
+            runtime.tree.fail(f"overloaded: {entry['reason']}")
+            return
+        if kind == "external":
+            self._resolve_flight(runtime, key)
+            runtime.external.add(key)
+            return
+        if kind == "mark":
+            runtime.journal_keys.add(("mark", *key, entry["name"]))
+        else:  # result / failure
+            runtime.journal_keys.add(("result", *key))
+            # through _resolve_flight (not a bare pop): any workers still
+            # carrying the flight's wave are parked in _pending_acks, so their
+            # late replies keep feeding the health registry
+            self._resolve_flight(runtime, key)
+            runtime.external.discard(key)
+        try:
+            node = runtime.tree.node_at(entry["path"])
+        except ExecutionError:
+            return
+        if runtime.live_exec.get(entry["path"]) != entry["exec"]:
+            return  # stale: a newer execution of this path supersedes it
+        if kind == "mark":
+            runtime.tree.apply_mark(node, entry["name"], refs_from_plain(entry["objects"]))
+        elif kind == "result":
+            try:
+                runtime.tree.apply_result(node, result_from_plain(entry["result"]))
+            except ExecutionError as exc:
+                # the result did not match the task class signature: treat it
+                # as a system failure (deterministic at replay too)
+                runtime.tree.apply_failure(node, exc)
+        else:
+            runtime.tree.apply_failure(node, WorkflowError(entry["error"]))
+
     def _journal(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
         # Provenance stamp: which incarnation wrote this entry.  Inert for
         # dedup keys and replay; the epoch-monotonicity and single-writer
         # oracles (sim/oracles.py) audit these fields across failovers.
         entry["epoch"] = self.epoch
         entry["writer"] = self.name
-        runtime.journal_keys.add(self._entry_key(entry))
         if not self.durable:
             runtime.volatile_journal.append(entry)
             return
@@ -1255,9 +1290,9 @@ class ExecutionService(Service):
         crash_point("exec.journal.pre", self)
         if self.journal_batch:
             # buffered: becomes durable at the next barrier (flush_journal).
-            # The dedup key above and this buffered entry are both volatile,
-            # so a crash loses them together — redelivered replies simply
-            # journal again after recovery.
+            # The applied entry's dedup key and this buffered entry are both
+            # volatile, so a crash loses them together — redelivered
+            # replies simply journal again after recovery.
             self._jbuf.append((runtime, entry))
             self._arm_journal_window()
             return
@@ -1324,72 +1359,6 @@ class ExecutionService(Service):
 
         self.node.call_after(self.journal_window, fire, label=f"{self.name}-jflush")
 
-    @staticmethod
-    def _entry_key(entry: Dict[str, Any]) -> Tuple:
-        if entry["type"] == "mark":
-            return ("mark", entry["path"], entry["exec"], entry["name"])
-        if entry["type"] in ("result", "failure"):
-            return ("result", entry["path"], entry["exec"])
-        if entry["type"] == "deadline":
-            return ("deadline", entry["path"], entry["exec"])
-        if entry["type"] == "overloaded":
-            return ("overloaded",)  # at most one decisive shed per instance
-        return (entry["type"], id(entry))
-
-    def _apply_mark(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        try:
-            node = runtime.tree.node_at(entry["path"])
-        except ExecutionError:
-            return
-        if runtime.live_exec.get(entry["path"]) != entry["exec"]:
-            return  # stale mark from a superseded execution
-        runtime.tree.apply_mark(node, entry["name"], refs_from_plain(entry["objects"]))
-
-    def _apply_entry(self, runtime: _Runtime, entry: Dict[str, Any]) -> None:
-        kind = entry["type"]
-        if kind == "mark":
-            self._apply_mark(runtime, entry)
-            return
-        if kind == "deadline":
-            # inert for the tree: remembers the absolute expiry so recovery
-            # re-arms the timer with the *remaining* deadline
-            runtime.deadline_expiries[(entry["path"], entry["exec"])] = entry[
-                "expires_at"
-            ]
-            return
-        if kind == "reconfig":
-            new_script = _compile_cached(entry["script_text"])
-            runtime.tree.reconfigure(new_script)
-            runtime.script = new_script
-            runtime.has_deadlines = _script_has_deadlines(new_script)
-            return
-        if kind == "force_abort":
-            runtime.tree.force_abort(entry["path"], entry.get("name"))
-            return
-        if kind == "overloaded":
-            # decisive shed outcome: the whole instance fails terminally
-            # before any of its tasks dispatched.  Clearing the flight table
-            # keeps replay identical to the live path, where nothing was sent.
-            runtime.in_flight.clear()
-            runtime.external.clear()
-            runtime.tree.fail(f"overloaded: {entry['reason']}")
-            return
-        try:
-            node = runtime.tree.node_at(entry["path"])
-        except ExecutionError:
-            return
-        if runtime.live_exec.get(entry["path"]) != entry["exec"]:
-            return  # stale: a newer execution of this path supersedes it
-        if kind == "result":
-            try:
-                runtime.tree.apply_result(node, result_from_plain(entry["result"]))
-            except ExecutionError as exc:
-                # the result did not match the task class signature: treat it
-                # as a system failure (deterministic at replay too)
-                runtime.tree.apply_failure(node, exc)
-        elif kind == "failure":
-            runtime.tree.apply_failure(node, WorkflowError(entry["error"]))
-
     # -- recovery -----------------------------------------------------------------------------------
 
     def _journal_entries(self, iid: str, start: int, stop: int) -> List[Any]:
@@ -1419,15 +1388,7 @@ class ExecutionService(Service):
         for entry in journal:
             if entry is None:
                 break
-            runtime.journal_keys.add(self._entry_key(entry))
-            key = (entry.get("path"), entry.get("exec"))
-            if entry["type"] in ("result", "failure"):
-                runtime.in_flight.pop(key, None)
-                runtime.external.discard(key)
-            elif entry["type"] == "external":
-                runtime.in_flight.pop(key, None)
-                runtime.external.add(key)
-            self._apply_entry(runtime, entry)
+            self._apply(runtime, entry)
             self._drain(runtime)
             runtime.replayed += 1
 
@@ -1475,13 +1436,11 @@ class ExecutionService(Service):
         cfg = self.resilience
         epoch = self.epoch
         for key, flight in sorted(runtime.in_flight.items(), key=lambda kv: kv[0]):
-            if (
-                cfg.policy.recovery_stagger <= 0
-                or flight.request.get("code") == "system.timer"
-            ):
-                self._send(runtime, key, flight)
-                continue
-            delay = cfg.policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
+            delay = (
+                0.0
+                if flight.request.get("code") == "system.timer"
+                else cfg.policy.stagger(f"{runtime.iid}:{key[0]}:{key[1]}:{epoch}")
+            )
             if delay <= 0.0:
                 self._send(runtime, key, flight)
                 continue

@@ -156,8 +156,8 @@ class ChaosSweep:
             # a short lease keeps the forced failover inside the time budget
             kwargs["replicas"] = 2
             kwargs["lease_duration"] = 30.0
-        if point.name == "exec.mark.recv" and self.workload == "order":
-            # the order workload emits no marks; the trip workload does
+        if point.name == "exec.mark.recv" and self.workload != "trip":
+            # of the paper workloads only trip emits marks
             kwargs["workload"] = "trip"
         return schedule, kwargs
 

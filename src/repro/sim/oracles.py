@@ -29,9 +29,9 @@ Oracles and the guarantees they police:
     the tree now, a crash right now would change history.
 ``durability``
     Once an instance has been *observed* terminal (the observation implies
-    the deciding entry was journaled, because entries are journaled before
-    they are applied), no later crash/recovery may change its status or
-    outcome.
+    the deciding entry is durable, because the execution service makes it
+    durable within the event that applied it), no later crash/recovery may
+    change its status or outcome.
 ``liveness``
     Once every node is healthy and the network is quiet, every instance
     must reach a terminal status within the quiescence grace period.
@@ -217,11 +217,11 @@ def observe_terminal(
 ) -> None:
     """Record the first observed terminal (status, outcome) per instance.
 
-    Entries are journaled before they are applied to the tree, and under
-    journal batching the execution service flushes its buffered entries
-    within the same event that drives the tree terminal (the terminal
-    barrier in ``_dispatch_pending``) — so by the time the harness can
-    observe a terminal tree between events, the deciding entry is durable.
+    The execution service applies an entry and journals it within one
+    event, and flushes its buffered entries within the same event that
+    drives the tree terminal (the terminal barrier in
+    ``_dispatch_pending``) — so by the time the harness can observe a
+    terminal tree between events, the deciding entry is durable.
     It is from that moment on that losing it becomes a durability
     violation.
     """

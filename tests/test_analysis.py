@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core import ScriptBuilder, from_input, from_output
-from repro.core.analysis import analyze_outcomes
+from repro.analysis.outcomes import analyze_outcomes
 from repro.workloads import paper_order, paper_service_impact, paper_trip
 
 

@@ -4,10 +4,16 @@
   every commit releases its locks and their entries go with them.
 * A hot standby applying a shipped batch folds exactly the shipped records
   into its store cache, however long its log already is.
+* The execution service's wire-form memo lets go of a script's task
+  classes once the bounded compile cache has evicted the script.
 """
+
+import gc
+import weakref
 
 from repro.replication import ReplicatedExecutionService
 from repro.services import WorkflowSystem
+from repro.services import execution
 from repro.txn import wal as wal_mod
 from repro.workloads import TrafficSpec, paper_order, run_traffic, traffic_registry
 
@@ -59,3 +65,26 @@ def test_standby_folds_exactly_the_shipped_records(monkeypatch):
     # late batches are small next to the log they land on
     shipped, history = checked[-1]
     assert shipped < history
+
+
+def test_wire_form_memo_releases_evicted_scripts():
+    system = WorkflowSystem(workers=1)
+    paper_order.default_registry(registry=system.registry)
+    first = None
+    # one more distinct text than the compile cache holds forces at least
+    # one clear after the first script was cached
+    for n in range(execution._COMPILE_CACHE_MAX + 1):
+        name = f"order-{n}"
+        system.deploy(name, f"{paper_order.SCRIPT_TEXT}\n// variant {n}\n")
+        iid = system.instantiate(name, paper_order.ROOT_TASK, {"order": f"o-{n}"})
+        assert system.run_until_terminal(iid)["status"] == "completed"
+        # drop the terminal runtime, so only a memo could keep its tree's
+        # task classes alive
+        runtime = system.execution.runtimes.pop(iid)
+        if first is None:
+            leaf = next(node for node in runtime.tree.walk() if not node.is_compound)
+            first = weakref.ref(leaf.taskclass)
+            del leaf
+        del runtime
+    gc.collect()
+    assert first() is None

@@ -334,9 +334,13 @@ class TestExhaustiveSweep:
         # 2PC points enable the probe
         _, kwargs = sweep.plan_for_point(point_named("txn.2pc.prepared"))
         assert kwargs["probe_every"]
-        # the mark point reroutes to the trip workload (order emits no marks)
-        _, kwargs = sweep.plan_for_point(point_named("exec.mark.recv"))
-        assert kwargs["workload"] == "trip"
+        # the mark point reroutes to the trip workload, the only paper
+        # workload that emits marks
+        for workload in ("order", "trip", "service-impact"):
+            _, kwargs = ChaosSweep(workload=workload).plan_for_point(
+                point_named("exec.mark.recv")
+            )
+            assert kwargs["workload"] == "trip"
 
 
 class TestRandomSweep:

@@ -26,7 +26,7 @@ from repro.analysis import (
     to_sarif,
 )
 from repro.core import ScriptBuilder, from_input, from_output
-from repro.core.analysis import analyze_outcomes
+from repro.analysis.outcomes import analyze_outcomes
 from repro.core.errors import SchemaError
 from repro.core.schema import Implementation, TaskDecl
 from repro.engine import (

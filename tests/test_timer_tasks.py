@@ -115,3 +115,9 @@ class TestTimerTasks:
             "completed",
             "failed",
         )
+        journal = system.execution.export_instance(iid)["journal"]
+        assert any(
+            e["type"] == "failure"
+            and e["error"] == "system.timer task class declares no outcome"
+            for e in journal
+        )
